@@ -6,7 +6,7 @@ mod common;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::netsim::engine::EventQueue;
-use optimcast::netsim::{run_multicast_prerouted, run_multicast_shared, JobRoutes, RunConfig};
+use optimcast::netsim::{run_multicast_prerouted, JobRoutes};
 use optimcast::prelude::*;
 use optimcast::sweep::sample_chain;
 use std::sync::Arc;
@@ -69,16 +69,16 @@ fn bench_run_multicast(c: &mut Criterion) {
     });
     g.bench_function("routing_inline", |b| {
         b.iter(|| {
-            run_multicast_shared(
+            let job = MulticastJob::fpfs(Arc::clone(&tree), black_box(&chain).to_vec(), 8);
+            SimRun::new(
                 &topo.net,
-                Arc::clone(&tree),
-                black_box(&chain),
-                8,
+                std::slice::from_ref(&job),
                 cfg.params(),
-                RunConfig::default(),
+                WorkloadConfig::default(),
             )
+            .run()
             .unwrap()
-            .latency_us
+            .makespan_us
         })
     });
     g.finish();

@@ -41,7 +41,6 @@ pub mod observe;
 pub mod packet;
 pub mod routes;
 pub mod scheduler;
-mod shard;
 pub mod sim;
 mod simulation;
 pub mod stream;
@@ -60,8 +59,8 @@ pub use scheduler::{
     ScheduledOutcome, ScheduledRun,
 };
 pub use sim::{
-    run_multicast, run_multicast_prerouted, run_multicast_shared, run_multicast_with_faults,
-    ContentionMode, MulticastOutcome, NiTiming, NicKind, RunConfig,
+    run_multicast, run_multicast_prerouted, ContentionMode, MulticastOutcome, NiTiming, NicKind,
+    RunConfig,
 };
 pub use stream::{
     churn_plan, ChurnEvent, FrameFate, FrameRecord, ReceiverStats, StreamError, StreamOutcome,

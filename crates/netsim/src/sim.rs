@@ -27,15 +27,14 @@
 //! * Each destination's host spends `t_r` after its NI has received the last
 //!   packet; the multicast latency is the latest such completion.
 
-use crate::arq::NiModel;
 use crate::error::SimError;
-use crate::fault::FaultPlan;
 use crate::workload::{JobPayload, MulticastJob, SimRun, WorkloadConfig};
 use optimcast_core::params::SystemParams;
 use optimcast_core::schedule::ForwardingDiscipline;
 use optimcast_core::tree::MulticastTree;
 use optimcast_topology::graph::HostId;
 use optimcast_topology::Network;
+use std::sync::Arc;
 
 /// Network-interface architecture for a run (paper §2.3 vs §2.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,7 +120,8 @@ pub struct MulticastOutcome {
 /// `binding[rank]` is the physical host of tree rank `rank`; `binding[0]` is
 /// the source. This is the single-job special case of
 /// [`crate::workload::SimRun`]; all analytic-exactness tests in this
-/// module therefore validate the workload engine too.
+/// module therefore validate the workload engine too. Fault plans, traces
+/// and multi-job workloads go through [`SimRun`] directly.
 ///
 /// # Errors
 ///
@@ -135,74 +135,48 @@ pub fn run_multicast<N: Network>(
     params: &SystemParams,
     config: RunConfig,
 ) -> Result<MulticastOutcome, SimError> {
-    run_multicast_shared(
+    run_single(
         net,
-        std::sync::Arc::new(tree.clone()),
+        Arc::new(tree.clone()),
         binding,
+        None,
         m,
         params,
         config,
     )
 }
 
-/// As [`run_multicast`], but taking the tree by shared ownership so callers
-/// holding a memoized `Arc<MulticastTree>` (e.g. a sweep engine running the
-/// same tree over thousands of sampled chains) avoid deep-cloning the arena
-/// on every run.
-///
-/// # Errors
-///
-/// Same contract as [`run_multicast`].
-pub fn run_multicast_shared<N: Network>(
-    net: &N,
-    tree: std::sync::Arc<MulticastTree>,
-    binding: &[HostId],
-    m: u32,
-    params: &SystemParams,
-    config: RunConfig,
-) -> Result<MulticastOutcome, SimError> {
-    let job = MulticastJob {
-        tree,
-        binding: binding.to_vec(),
-        packets: m,
-        start_us: 0.0,
-        nic: config.nic,
-        payload: JobPayload::Replicated,
-    };
-    let wl = SimRun::new(
-        net,
-        std::slice::from_ref(&job),
-        params,
-        WorkloadConfig {
-            contention: config.contention,
-            timing: config.timing,
-            trace: false,
-            ni: NiModel::default(),
-            ..WorkloadConfig::default()
-        },
-    )
-    .run()?;
-    let mut out = wl.jobs.into_iter().next().expect("one job in, one out");
-    out.events = wl.events;
-    out.peak_queue_len = wl.counters.peak_queue_len;
-    Ok(out)
-}
-
-/// As [`run_multicast_shared`], but with a caller-supplied interned route
-/// table, built once by [`crate::routes::JobRoutes::build`] from the same
-/// `(net, tree, binding)` triple and reused across runs — the sweep engine
-/// memoizes tables per `(topology, chain, tree-shape)` so repeated cells
-/// skip the route computation entirely. The outcome is identical to
-/// [`run_multicast_shared`].
+/// As [`run_multicast`], but taking the tree by shared ownership and a
+/// caller-supplied interned route table, built once by
+/// [`crate::routes::JobRoutes::build`] from the same `(net, tree, binding)`
+/// triple and reused across runs — the sweep engine memoizes trees and
+/// tables per `(topology, chain, tree-shape)` so repeated cells skip both
+/// the arena clone and the route computation. The outcome is identical to
+/// [`run_multicast`].
 ///
 /// # Errors
 ///
 /// Same contract as [`run_multicast`].
 pub fn run_multicast_prerouted<N: Network>(
     net: &N,
-    tree: std::sync::Arc<MulticastTree>,
+    tree: Arc<MulticastTree>,
     binding: &[HostId],
-    routes: std::sync::Arc<crate::routes::JobRoutes>,
+    routes: Arc<crate::routes::JobRoutes>,
+    m: u32,
+    params: &SystemParams,
+    config: RunConfig,
+) -> Result<MulticastOutcome, SimError> {
+    run_single(net, tree, binding, Some(routes), m, params, config)
+}
+
+/// The one-job workload behind both public wrappers: builds the
+/// [`MulticastJob`] and [`WorkloadConfig`] from a [`RunConfig`], runs it,
+/// and folds the run-wide event counts into the job's outcome.
+fn run_single<N: Network>(
+    net: &N,
+    tree: Arc<MulticastTree>,
+    binding: &[HostId],
+    routes: Option<Arc<crate::routes::JobRoutes>>,
     m: u32,
     params: &SystemParams,
     config: RunConfig,
@@ -215,74 +189,25 @@ pub fn run_multicast_prerouted<N: Network>(
         nic: config.nic,
         payload: JobPayload::Replicated,
     };
-    let wl = SimRun::new(
+    let run = SimRun::new(
         net,
         std::slice::from_ref(&job),
         params,
         WorkloadConfig {
             contention: config.contention,
             timing: config.timing,
-            trace: false,
-            ni: NiModel::default(),
             ..WorkloadConfig::default()
         },
-    )
-    .routes(vec![routes])
+    );
+    let wl = match routes {
+        Some(r) => run.routes(vec![r]),
+        None => run,
+    }
     .run()?;
     let mut out = wl.jobs.into_iter().next().expect("one job in, one out");
     out.events = wl.events;
     out.peak_queue_len = wl.counters.peak_queue_len;
     Ok(out)
-}
-
-/// As [`run_multicast_shared`], but under a [`FaultPlan`]: the reliability
-/// layer retransmits dropped/corrupted/refused packets (stop-and-wait,
-/// capped exponential backoff) and crashed hosts stay silent. Returns the
-/// outcome *and* the workload counters, which carry the run's drop,
-/// retransmit, and recovery-latency totals.
-///
-/// # Errors
-///
-/// Same contract as [`run_multicast`], plus [`SimError::InvalidFaultPlan`],
-/// [`SimError::FaultsNeedHandshakeTiming`] (a non-trivial plan requires
-/// [`NiTiming::Handshake`]), and [`SimError::DeliveryFailed`] listing every
-/// unreached rank when the plan's losses exceed the retransmission budget.
-pub fn run_multicast_with_faults<N: Network>(
-    net: &N,
-    tree: std::sync::Arc<MulticastTree>,
-    binding: &[HostId],
-    m: u32,
-    params: &SystemParams,
-    config: RunConfig,
-    fault: &FaultPlan,
-) -> Result<(MulticastOutcome, crate::observe::SimCounters), SimError> {
-    let job = MulticastJob {
-        tree,
-        binding: binding.to_vec(),
-        packets: m,
-        start_us: 0.0,
-        nic: config.nic,
-        payload: JobPayload::Replicated,
-    };
-    let wl = SimRun::new(
-        net,
-        std::slice::from_ref(&job),
-        params,
-        WorkloadConfig {
-            contention: config.contention,
-            timing: config.timing,
-            trace: false,
-            ni: NiModel::default(),
-            ..WorkloadConfig::default()
-        },
-    )
-    .faults(fault)
-    .run()?;
-    let counters = wl.counters;
-    let mut out = wl.jobs.into_iter().next().expect("one job in, one out");
-    out.events = wl.events;
-    out.peak_queue_len = counters.peak_queue_len;
-    Ok((out, counters))
 }
 
 #[cfg(test)]

@@ -37,14 +37,10 @@ use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_core::tree::Rank;
 use optimcast_netsim::fault::{HostCrash, LinkFailure};
-use optimcast_netsim::{
-    run_multicast_with_faults, FaultPlanSpec, MulticastJob, RunConfig, SimError, SimRun,
-    WorkloadConfig,
-};
+use optimcast_netsim::{FaultPlanSpec, MulticastJob, SimError, SimRun, WorkloadConfig};
 use optimcast_rng::{ChaCha8Rng, Rng, SliceRandom};
 use optimcast_topology::graph::{ChannelId, HostId};
 use optimcast_topology::Network;
-use std::sync::Arc;
 
 /// Aggregated outcome of one `(drop rate, crash count)` chaos cell over the
 /// full `topologies × dest_sets` sample set.
@@ -473,41 +469,11 @@ impl Sweep {
                 .collect();
             let plan = spec.plan_with_outages(salt, crashes, outages);
 
-            if spec.live_repair {
-                // Bind the FULL membership: the drawn hosts crash mid-run
-                // and the simulator repairs around them live.
-                let job = MulticastJob::fpfs(tree, chain, m);
-                match SimRun::new(
-                    &topo.net,
-                    std::slice::from_ref(&job),
-                    cfg.params(),
-                    WorkloadConfig::default(),
-                )
-                .faults(&plan)
-                .run()
-                {
-                    Ok(out) => {
-                        let c = &out.counters;
-                        self.record_effort(c.events, c.peak_queue_len);
-                        agg.delivered += 1;
-                        agg.latency_sum += out.jobs[0].latency_us;
-                        agg.add_counters(c);
-                        if c.repairs > 0 {
-                            agg.reached_after_repair += 1;
-                        }
-                        agg.unreachable_crashed += out.unreached.len() as u64;
-                    }
-                    Err(SimError::DeliveryFailed {
-                        unreached,
-                        counters,
-                    }) => {
-                        self.record_effort(counters.events, counters.peak_queue_len);
-                        agg.failed += 1;
-                        agg.unreached += unreached.len() as u64;
-                        agg.add_counters(&counters);
-                    }
-                    Err(other) => unreachable!("validated chaos plan rejected: {other}"),
-                }
+            // Live repair binds the FULL membership: the drawn hosts crash
+            // mid-run and the simulator repairs around them. Otherwise the
+            // tree is repaired up front and only the survivors are bound.
+            let job = if spec.live_repair {
+                MulticastJob::fpfs(tree, chain, m)
             } else {
                 let repair = tree
                     .repair(&failed)
@@ -518,32 +484,40 @@ impl Sweep {
                     .iter()
                     .map(|&old| chain[old.index()])
                     .collect();
-                match run_multicast_with_faults(
-                    &topo.net,
-                    Arc::new(repair.tree),
-                    &binding,
-                    m,
-                    cfg.params(),
-                    RunConfig::default(),
-                    &plan,
-                ) {
-                    Ok((out, c)) => {
-                        self.record_effort(c.events, c.peak_queue_len);
-                        agg.delivered += 1;
-                        agg.latency_sum += out.latency_us;
-                        agg.add_counters(&c);
+                MulticastJob::fpfs(repair.tree, binding, m)
+            };
+            match SimRun::new(
+                &topo.net,
+                std::slice::from_ref(&job),
+                cfg.params(),
+                WorkloadConfig::default(),
+            )
+            .faults(&plan)
+            .run()
+            {
+                Ok(out) => {
+                    let c = &out.counters;
+                    self.record_effort(c.events, c.peak_queue_len);
+                    agg.delivered += 1;
+                    agg.latency_sum += out.jobs[0].latency_us;
+                    agg.add_counters(c);
+                    if spec.live_repair {
+                        if c.repairs > 0 {
+                            agg.reached_after_repair += 1;
+                        }
+                        agg.unreachable_crashed += out.unreached.len() as u64;
                     }
-                    Err(SimError::DeliveryFailed {
-                        unreached,
-                        counters,
-                    }) => {
-                        self.record_effort(counters.events, counters.peak_queue_len);
-                        agg.failed += 1;
-                        agg.unreached += unreached.len() as u64;
-                        agg.add_counters(&counters);
-                    }
-                    Err(other) => unreachable!("validated chaos plan rejected: {other}"),
                 }
+                Err(SimError::DeliveryFailed {
+                    unreached,
+                    counters,
+                }) => {
+                    self.record_effort(counters.events, counters.peak_queue_len);
+                    agg.failed += 1;
+                    agg.unreached += unreached.len() as u64;
+                    agg.add_counters(&counters);
+                }
+                Err(other) => unreachable!("validated chaos plan rejected: {other}"),
             }
         }
         agg
@@ -554,6 +528,7 @@ impl Sweep {
 mod tests {
     use super::*;
     use crate::config::SweepBuilder;
+    use optimcast_netsim::RunConfig;
 
     fn lossy(seed: u64) -> FaultPlanSpec {
         FaultPlanSpec {

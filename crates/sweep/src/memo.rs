@@ -11,7 +11,7 @@
 //! * **Trees** — the [`MulticastTree`] arena keyed by `(shape, n, k)`.
 //!   One construction per distinct tree instead of one per destination set;
 //!   the `Arc` is threaded through the simulator without cloning the arena
-//!   (see `optimcast_netsim::run_multicast_shared`).
+//!   (see `optimcast_netsim::run_multicast_prerouted`).
 
 use crate::config::SweepConfig;
 use crate::sampling::{sample_chain, TreePolicy};

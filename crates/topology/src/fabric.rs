@@ -47,21 +47,23 @@ impl FabricConfig {
     /// `hosts`.
     pub fn fat_tree_for_hosts(hosts: u32) -> FabricConfig {
         let mut k = 2u32;
-        while k * k * k / 4 < hosts {
+        while (FabricConfig::FatTree { k_ary: k }).host_capacity() < u64::from(hosts) {
             k += 2;
         }
         FabricConfig::FatTree { k_ary: k }
     }
 
-    /// Maximum number of hosts this fabric can attach.
-    pub fn host_capacity(&self) -> u32 {
+    /// Maximum number of hosts this fabric can attach. Computed in `u64`:
+    /// `k³` leaves `u32` from k = 1626, and capacities covering the largest
+    /// `u32` host counts exceed `u32` themselves.
+    pub fn host_capacity(&self) -> u64 {
         match *self {
-            FabricConfig::FatTree { k_ary } => k_ary * k_ary * k_ary / 4,
+            FabricConfig::FatTree { k_ary } => u64::from(k_ary).pow(3) / 4,
             FabricConfig::Dragonfly {
                 groups,
                 routers_per_group,
                 hosts_per_router,
-            } => groups * routers_per_group * hosts_per_router,
+            } => u64::from(groups) * u64::from(routers_per_group) * u64::from(hosts_per_router),
         }
     }
 
@@ -125,7 +127,9 @@ pub struct FabricNetwork {
 impl FabricNetwork {
     /// Generates the fabric at full host capacity.
     pub fn generate(config: FabricConfig) -> Self {
-        Self::generate_with_hosts(config, config.host_capacity())
+        let hosts =
+            u32::try_from(config.host_capacity()).expect("fabric capacity exceeds u32 hosts");
+        Self::generate_with_hosts(config, hosts)
     }
 
     /// Generates the fabric with only `hosts` hosts attached (round-robin
@@ -140,7 +144,7 @@ impl FabricNetwork {
         config.validate();
         assert!(hosts >= 1, "a fabric needs at least one host");
         assert!(
-            hosts <= config.host_capacity(),
+            u64::from(hosts) <= config.host_capacity(),
             "fabric capacity is {} hosts, asked for {hosts}",
             config.host_capacity()
         );
@@ -322,6 +326,31 @@ mod tests {
         assert_eq!(
             FabricConfig::fat_tree_for_hosts(65536),
             FabricConfig::FatTree { k_ary: 64 }
+        );
+    }
+
+    /// Sizing past k = 1626, where `k³` leaves `u32`: pure arithmetic (no
+    /// fabric is built), pinning the minimal even radix that covers the
+    /// host count.
+    #[test]
+    fn fat_tree_sizing_does_not_overflow() {
+        for hosts in [1u32 << 30, u32::MAX] {
+            let cfg = FabricConfig::fat_tree_for_hosts(hosts);
+            let FabricConfig::FatTree { k_ary } = cfg else {
+                unreachable!("sizing yields a fat-tree");
+            };
+            assert_eq!(k_ary % 2, 0);
+            assert!(cfg.host_capacity() >= u64::from(hosts));
+            let smaller = FabricConfig::FatTree { k_ary: k_ary - 2 };
+            assert!(smaller.host_capacity() < u64::from(hosts));
+        }
+        assert_eq!(
+            FabricConfig::fat_tree_for_hosts(1 << 30),
+            FabricConfig::FatTree { k_ary: 1626 }
+        );
+        assert_eq!(
+            FabricConfig::fat_tree_for_hosts(u32::MAX),
+            FabricConfig::FatTree { k_ary: 2582 }
         );
     }
 

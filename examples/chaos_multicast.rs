@@ -19,25 +19,32 @@ fn main() {
     let chain: Vec<HostId> = (0..64).map(HostId).collect();
     let opt = optimal_k(64, m);
     let tree = Arc::new(kbinomial_tree(64, opt.k));
+    // One smart-FPFS multicast of the message under a fault plan.
+    let run = |tree: Arc<MulticastTree>, binding: Vec<HostId>, plan: &FaultPlan| {
+        let job = MulticastJob::fpfs(tree, binding, m);
+        SimRun::new(
+            &net,
+            std::slice::from_ref(&job),
+            &params,
+            WorkloadConfig::default(),
+        )
+        .faults(plan)
+        .run()
+    };
 
     // 1. Loss alone: every transmission is dropped with 5% probability
     // (decided by a PRF over the packet's identity, so the run is exactly
     // reproducible), and stop-and-wait retransmission recovers all of it.
     let mut plan = FaultPlan::new(0xC0FFEE);
     plan.drop_rate = 0.05;
-    let (out, counters) = run_multicast_with_faults(
-        &net,
-        tree.clone(),
-        &chain,
-        m,
-        &params,
-        RunConfig::default(),
-        &plan,
-    )
-    .expect("drops alone are fully recovered");
+    let out = run(tree.clone(), chain.clone(), &plan).expect("drops alone are fully recovered");
+    let counters = &out.counters;
     println!(
         "5% drop: latency {:.1} us | {} drops, {} retransmits, {:.1} us spent waiting on ACKs",
-        out.latency_us, counters.packets_dropped, counters.retransmits, counters.recovery_wait_us
+        out.jobs[0].latency_us,
+        counters.packets_dropped,
+        counters.retransmits,
+        counters.recovery_wait_us
     );
 
     // 2. Crash an intermediate at time zero: its whole subtree is
@@ -46,15 +53,7 @@ fn main() {
         host: HostId(13),
         at_us: 0.0,
     });
-    match run_multicast_with_faults(
-        &net,
-        tree.clone(),
-        &chain,
-        m,
-        &params,
-        RunConfig::default(),
-        &plan,
-    ) {
+    match run(tree.clone(), chain.clone(), &plan) {
         Err(SimError::DeliveryFailed {
             unreached,
             counters,
@@ -88,18 +87,10 @@ fn main() {
         .map(|&r| chain[r.index()])
         .collect();
     let survivors = binding.len();
-    let (out, counters) = run_multicast_with_faults(
-        &net,
-        Arc::new(repair.tree),
-        &binding,
-        m,
-        &params,
-        RunConfig::default(),
-        &plan,
-    )
-    .expect("every survivor is reachable after repair");
+    let out = run(Arc::new(repair.tree), binding, &plan)
+        .expect("every survivor is reachable after repair");
     println!(
         "repaired: latency {:.1} us over {survivors} survivors ({} retransmits)",
-        out.latency_us, counters.retransmits
+        out.jobs[0].latency_us, out.counters.retransmits
     );
 }

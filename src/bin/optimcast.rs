@@ -13,8 +13,7 @@
 //!                    [--window W] [--send-units S] [--deadline US]
 //! optimcast bench-sweep [--threads N] [--smoke] [--out PATH]
 //! optimcast bench-sim [--quick] [--out PATH]
-//!                     [--mega [--hosts N] [--shards S] [--shard-threads T]
-//!                      [--digest PATH] [--plots DIR]]
+//!                     [--mega [--hosts N] [--digest PATH] [--plots DIR]]
 //! optimcast bench-compare [--sim PATH] [--sweep PATH] [--mega PATH]
 //!                     [--threshold F] [--threads N]
 //! optimcast chaos    [--quick] [--seed N] [--threads N] [--dests D] [--m M]
@@ -58,6 +57,12 @@ fn main() {
     }
     let cmd = args.remove(0);
     let (flags, positional) = parse_flags(args);
+    if let Some(known) = known_flags(&cmd) {
+        if let Some(bad) = flags.keys().filter(|f| !known.contains(&f.as_str())).min() {
+            eprintln!("{cmd}: unknown flag --{bad}");
+            std::process::exit(2);
+        }
+    }
     match cmd.as_str() {
         "topo" => cmd_topo(&flags),
         "route" => cmd_route(&flags, &positional),
@@ -96,8 +101,8 @@ fn usage() {
          \u{20}           [--crash-at US] [--live-repair] [--fault-seed N]\n\
          \u{20}           [--window W] [--send-units S] [--deadline US]\n\
          \u{20}  bench-sweep [--threads N] [--smoke] [--out PATH]\n\
-         \u{20}  bench-sim [--quick] [--out PATH] [--mega [--hosts N] [--shards S]\n\
-         \u{20}           [--shard-threads T] [--digest PATH] [--plots DIR]]\n\
+         \u{20}  bench-sim [--quick] [--out PATH] [--mega [--hosts N] [--digest PATH]\n\
+         \u{20}           [--plots DIR]]\n\
          \u{20}  bench-compare [--sim PATH] [--sweep PATH] [--mega PATH]\n\
          \u{20}           [--threshold F] [--threads N]\n\
          \u{20}  chaos    [--quick] [--seed N] [--threads N] [--dests D] [--m M]\n\
@@ -110,6 +115,82 @@ fn usage() {
          \u{20}  wire     [--role demo|source|sink] --n N [--k K] [--m M] [--rank R]\n\
          \u{20}           [--port-base P] [--payload B] [--mtu M] [--timeout-ms T]"
     );
+}
+
+/// The flags each subcommand reads (`None` for names that are not
+/// subcommands). Anything else on the command line is a typo or a removed
+/// option, and is rejected rather than silently ignored.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "topo" => &["switches", "ports", "hosts", "seed", "dot"],
+        "route" => &["switches", "ports", "hosts", "seed"],
+        "tree" => &["n", "k", "m", "render", "dot", "diagram"],
+        "optimal" => &["n", "m"],
+        "table" => &["max-n", "max-m"],
+        "simulate" => &[
+            "switches",
+            "ports",
+            "hosts",
+            "seed",
+            "dests",
+            "m",
+            "nic",
+            "ordering",
+            "ideal",
+            "trace",
+            "json",
+            "drop-rate",
+            "corrupt-rate",
+            "crashes",
+            "crash-at",
+            "live-repair",
+            "fault-seed",
+            "window",
+            "send-units",
+            "deadline",
+        ],
+        "bench-sweep" => &["threads", "smoke", "out"],
+        "bench-sim" => &["quick", "out", "mega", "hosts", "digest", "plots"],
+        "bench-compare" => &["sim", "sweep", "mega", "threshold", "threads"],
+        "chaos" => &[
+            "quick",
+            "seed",
+            "threads",
+            "dests",
+            "m",
+            "live-repair",
+            "crash-at",
+            "out",
+            "arq",
+            "window",
+            "send-units",
+            "plots",
+        ],
+        "jobs" => &["quick", "seed", "threads", "m", "json", "out", "plots"],
+        "stream" => &[
+            "quick",
+            "seed",
+            "threads",
+            "dests",
+            "frame-bytes",
+            "mtu",
+            "frames",
+            "out",
+            "plots",
+        ],
+        "wire" => &[
+            "role",
+            "n",
+            "k",
+            "m",
+            "rank",
+            "port-base",
+            "payload",
+            "mtu",
+            "timeout-ms",
+        ],
+        _ => return None,
+    })
 }
 
 fn parse_flags(args: Vec<String>) -> (HashMap<String, String>, Vec<String>) {
@@ -356,7 +437,6 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
             send_units,
             queue_capacity: None,
         },
-        ..WorkloadConfig::default()
     };
     let wl = if !spec.is_trivial() {
         // The crashed hosts are the deepest in the ordering: the last
@@ -643,28 +723,25 @@ fn cmd_bench_sim(flags: &HashMap<String, String>) {
 
 /// The `bench-sim --mega` variant: one end-to-end optimal-k multicast
 /// (m = 16) per fat-tree size, with setup time, setup peak-allocation
-/// bytes, events/s, and a shard-identity cross-check per point. Writes
+/// bytes, events/s, and a timing-free outcome digest per point. Writes
 /// `BENCH_mega.json` plus, on the full sizing, the committed
 /// `results/fig_megascale.json` figure and its plot files; `--digest PATH`
-/// additionally writes a timing-free outcome digest CI can `cmp` across
-/// shard counts.
+/// additionally writes the digests alone, which are identical on every run.
 fn cmd_bench_mega(flags: &HashMap<String, String>) {
     let quick = flags.contains_key("quick");
     let hosts: Option<u32> = flags
         .contains_key("hosts")
         .then(|| get(flags, "hosts", 0u32));
-    let shards: u16 = get(flags, "shards", 0);
-    let threads: u16 = get(flags, "shard-threads", 0);
     let label = if quick { "quick" } else { "full" };
     eprintln!("bench-sim --mega: {label} sizing...");
-    let report = bench_mega(quick, hosts, shards, threads).unwrap_or_else(|e| {
+    let report = bench_mega(quick, hosts).unwrap_or_else(|e| {
         eprintln!("bench-sim: {e}");
         std::process::exit(1);
     });
     for p in &report.points {
         println!(
             "n={:>6} (k={} fat-tree, {} switches, tree k={}): setup {:.3} s{} | \
-             {:.2} M events/s ({} events, makespan {:.1} us, {:.3} s) | shards 1/4 identical: {}",
+             {:.2} M events/s ({} events, makespan {:.1} us, {:.3} s) | digest {}",
             p.hosts,
             p.fat_tree_k,
             p.switches,
@@ -683,7 +760,7 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
             p.events,
             p.makespan_us,
             p.sim_seconds,
-            p.sharded_identical
+            p.digest
         );
     }
     let default_out = "BENCH_mega.json".to_string();
@@ -715,8 +792,7 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
     }
     if !report.all_ok() {
         eprintln!(
-            "bench-sim --mega: FAILED — shard-identity violation or setup memory over \
-             the {} MiB budget",
+            "bench-sim --mega: FAILED — setup memory over the {} MiB budget",
             report.budget_bytes / (1024 * 1024)
         );
         std::process::exit(1);
@@ -809,7 +885,7 @@ fn cmd_bench_compare(flags: &HashMap<String, String>) {
     if let Some(mega_path) = flags.get("mega") {
         let committed_mega = load(mega_path);
         eprintln!("bench-compare: fresh quick bench-sim --mega...");
-        let fresh_mega = bench_mega(true, None, 0, 0).unwrap_or_else(|e| {
+        let fresh_mega = bench_mega(true, None).unwrap_or_else(|e| {
             eprintln!("bench-compare: {e}");
             std::process::exit(1);
         });

@@ -223,6 +223,34 @@ fn simulate_rejects_invalid_workload_gracefully() {
     assert!(err.contains("simulate:"), "{err}");
 }
 
+/// A flag the subcommand does not read is an error (exit 2, naming the
+/// flag), not silently ignored: `--shards` was removed from `bench-sim`,
+/// and a run that accepted it would quietly measure something else.
+#[test]
+fn unknown_flags_are_rejected() {
+    for args in [
+        &[
+            "bench-sim",
+            "--mega",
+            "--hosts",
+            "64",
+            "--quick",
+            "--shards",
+            "4",
+        ][..],
+        &["simulate", "--dests", "3", "--m", "2", "--bogus-flag", "7"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2];
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+}
+
 #[test]
 fn table_subcommand() {
     let (out, ok) = optimcast(&["table", "--max-n", "8", "--max-m", "4"]);
