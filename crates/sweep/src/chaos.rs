@@ -25,14 +25,13 @@
 //! `SimError::DeliveryFailed`, which the cell counts and reports as
 //! `unreached`.
 //!
-//! Like the figure grids, chaos cells fan out over the worker pool with a
-//! fixed floating-point reduction order, so the emitted JSON is
-//! byte-identical for every thread count (and deliberately records no
-//! thread count, so reports from different machines diff clean).
+//! Cells run on the shared grid runner, so the emitted JSON is byte-identical
+//! for every thread count (and records none, so reports diff clean).
 
 use crate::engine::Sweep;
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
+use crate::grid::{unravel, Sample};
 use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_core::tree::Rank;
@@ -44,7 +43,7 @@ use optimcast_topology::Network;
 
 /// Aggregated outcome of one `(drop rate, crash count)` chaos cell over the
 /// full `topologies × dest_sets` sample set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosCell {
     /// Per-transmission loss probability of this cell.
     pub drop_rate: f64,
@@ -183,14 +182,8 @@ impl ChaosReport {
         if let Some(cap) = self.fault.ni_buffer_capacity {
             meta.push(("ni_buffer_capacity", Json::from(cap)));
         }
-        meta.push((
-            "drop_rates",
-            Json::Arr(self.drop_rates.iter().map(|&d| Json::from(d)).collect()),
-        ));
-        meta.push((
-            "crash_counts",
-            Json::Arr(self.crash_counts.iter().map(|&c| Json::from(c)).collect()),
-        ));
+        meta.push(("drop_rates", Json::from(self.drop_rates.as_slice())));
+        meta.push(("crash_counts", Json::from(self.crash_counts.as_slice())));
         meta.push(("all_reached", Json::from(self.all_reached())));
         Json::obj(vec![
             ("id", Json::from("chaos")),
@@ -319,59 +312,32 @@ impl Sweep {
         dests: u32,
         m: u32,
     ) -> Result<ChaosReport, SweepError> {
-        crate::config::validate_fault_spec(&fault)?;
-        let cfg = *self.config();
-        if m == 0 {
-            return Err(SweepError::ZeroPackets);
-        }
-        let hosts = cfg.net().hosts;
-        if dests >= hosts {
-            return Err(SweepError::TooManyDests { dests, hosts });
-        }
-        for &d in drop_rates {
-            if !(0.0..1.0).contains(&d) {
-                return Err(SweepError::InvalidFaultSpec("drop_rate must lie in [0, 1)"));
-            }
-        }
+        self.check_fault_grid(&fault, drop_rates, dests, m)?;
         for &c in crash_counts {
             if c >= dests {
                 return Err(SweepError::TooManyCrashes { crashes: c, dests });
             }
         }
-        let topologies = cfg.topologies() as usize;
-        let cells = drop_rates.len() * crash_counts.len();
-        let aggs = self.run_cells(cells * topologies, |i| {
-            let cell = i / topologies;
-            let spec = FaultPlanSpec {
-                drop_rate: drop_rates[cell / crash_counts.len()],
-                crashes: crash_counts[cell % crash_counts.len()],
+        let cfg = *self.config();
+        let dims = [drop_rates.len(), crash_counts.len()];
+        let spec_of = |cell| {
+            let [d, c] = unravel(cell, dims);
+            FaultPlanSpec {
+                drop_rate: drop_rates[d],
+                crashes: crash_counts[c],
                 ..fault
-            };
-            self.chaos_topology(spec, dests, m, (i % topologies) as u32)
-        });
-        let cells = aggs
-            .chunks_exact(topologies)
-            .enumerate()
-            .map(|(cell, per_topology)| {
+            }
+        };
+        let cells = self.run_grid(
+            dims.iter().product(),
+            |cell, at, agg| self.chaos_sample(spec_of(cell), dests, m, at, agg),
+            |cell, per_topology: &[TopoAgg]| {
+                let spec = spec_of(cell);
                 let mut out = ChaosCell {
-                    drop_rate: drop_rates[cell / crash_counts.len()],
-                    crashes: crash_counts[cell % crash_counts.len()],
+                    drop_rate: spec.drop_rate,
+                    crashes: spec.crashes,
                     samples: cfg.samples(),
-                    delivered: 0,
-                    failed: 0,
-                    unreached: 0,
-                    mean_latency_us: 0.0,
-                    packets_dropped: 0,
-                    packets_corrupted: 0,
-                    retransmits: 0,
-                    deliveries_abandoned: 0,
-                    recovery_wait_us: 0.0,
-                    reattached: 0,
-                    repairs: 0,
-                    reissued_packets: 0,
-                    repair_wait_us: 0.0,
-                    reached_after_repair: 0,
-                    unreachable_crashed: 0,
+                    ..ChaosCell::default()
                 };
                 let mut latency_sum = 0.0;
                 for agg in per_topology {
@@ -395,8 +361,8 @@ impl Sweep {
                     out.mean_latency_us = latency_sum / f64::from(out.delivered);
                 }
                 out
-            })
-            .collect();
+            },
+        );
         Ok(ChaosReport {
             dests,
             m,
@@ -410,117 +376,135 @@ impl Sweep {
         })
     }
 
-    /// One cell's samples on topology `t`, evaluated sequentially in
-    /// destination-set order (the fixed floating-point order).
-    fn chaos_topology(&self, spec: FaultPlanSpec, dests: u32, m: u32, t: u32) -> TopoAgg {
-        let cfg = *self.config();
-        let topo = self.topology(t);
-        let mut agg = TopoAgg::default();
-        for s in 0..cfg.dest_sets() {
-            let salt = cfg.set_seed(t, s);
-            let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
-            let n = chain.len() as u32;
-            let tree = self.tree(TreePolicy::OptimalKBinomial, n, m);
-
-            // Crash a deterministic subset of the destination ranks. The
-            // draw depends only on (salt, fault seed) — not on the drop
-            // rate — so cells in one column share crash sets and a shuffle
-            // prefix makes them nested across crash counts: the grid uses
-            // common random numbers along both axes.
-            let mut ranks: Vec<Rank> = (1..n).map(Rank).collect();
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                salt.wrapping_mul(0x2545_F491_4F6C_DD1D)
-                    .wrapping_add(spec.seed),
-            );
-            ranks.shuffle(&mut rng);
-            let failed: Vec<Rank> = ranks[..spec.crashes as usize].to_vec();
-
-            // Link-outage channels come from the same stream *after* the
-            // crash shuffle, so enabling the outage axis never changes a
-            // cell's crash sets.
-            let outages: Vec<LinkFailure> = if spec.link_outages > 0 {
-                let channels = u64::from(topo.net.num_channels());
-                let wanted = u64::from(spec.link_outages).min(channels) as usize;
-                let mut chosen: Vec<ChannelId> = Vec::with_capacity(wanted);
-                while chosen.len() < wanted {
-                    let c = ChannelId((rng.next_u64() % channels) as u32);
-                    if !chosen.contains(&c) {
-                        chosen.push(c);
-                    }
-                }
-                chosen
-                    .into_iter()
-                    .map(|channel| LinkFailure {
-                        channel,
-                        from_us: spec.outage_from_us,
-                        until_us: spec.outage_until_us,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-
-            let crashes: Vec<HostCrash> = failed
-                .iter()
-                .map(|&r| HostCrash {
-                    host: chain[r.index()],
-                    at_us: spec.crash_at_us,
-                })
-                .collect();
-            let plan = spec.plan_with_outages(salt, crashes, outages);
-
-            // Live repair binds the FULL membership: the drawn hosts crash
-            // mid-run and the simulator repairs around them. Otherwise the
-            // tree is repaired up front and only the survivors are bound.
-            let job = if spec.live_repair {
-                MulticastJob::fpfs(tree, chain, m)
-            } else {
-                let repair = tree
-                    .repair(&failed)
-                    .expect("crash sets exclude the source and are in range");
-                agg.reattached += repair.reattached.len() as u64;
-                let binding: Vec<HostId> = repair
-                    .new_to_old
-                    .iter()
-                    .map(|&old| chain[old.index()])
-                    .collect();
-                MulticastJob::fpfs(repair.tree, binding, m)
-            };
-            match SimRun::new(
-                &topo.net,
-                std::slice::from_ref(&job),
-                cfg.params(),
-                WorkloadConfig::default(),
-            )
-            .faults(&plan)
-            .run()
-            {
-                Ok(out) => {
-                    let c = &out.counters;
-                    self.record_effort(c.events, c.peak_queue_len);
-                    agg.delivered += 1;
-                    agg.latency_sum += out.jobs[0].latency_us;
-                    agg.add_counters(c);
-                    if spec.live_repair {
-                        if c.repairs > 0 {
-                            agg.reached_after_repair += 1;
-                        }
-                        agg.unreachable_crashed += out.unreached.len() as u64;
-                    }
-                }
-                Err(SimError::DeliveryFailed {
-                    unreached,
-                    counters,
-                }) => {
-                    self.record_effort(counters.events, counters.peak_queue_len);
-                    agg.failed += 1;
-                    agg.unreached += unreached.len() as u64;
-                    agg.add_counters(&counters);
-                }
-                Err(other) => unreachable!("validated chaos plan rejected: {other}"),
-            }
+    /// The checks both fault grids share: a well-formed base spec, a
+    /// samplable `(dests, m)` point, and swept drop rates in `[0, 1)`.
+    pub(crate) fn check_fault_grid(
+        &self,
+        fault: &FaultPlanSpec,
+        drop_rates: &[f64],
+        dests: u32,
+        m: u32,
+    ) -> Result<(), SweepError> {
+        crate::config::validate_fault_spec(fault)?;
+        self.check_point(dests, m)?;
+        if drop_rates.iter().any(|d| !(0.0..1.0).contains(d)) {
+            return Err(SweepError::InvalidFaultSpec("drop_rate must lie in [0, 1)"));
         }
-        agg
+        Ok(())
+    }
+
+    /// Folds one chaos sample into its topology's partial.
+    fn chaos_sample(
+        &self,
+        spec: FaultPlanSpec,
+        dests: u32,
+        m: u32,
+        at: &Sample<'_>,
+        agg: &mut TopoAgg,
+    ) {
+        let cfg = self.config();
+        let (topo, salt) = (at.topo, at.salt);
+        let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
+        let n = chain.len() as u32;
+        let tree = self.tree(TreePolicy::OptimalKBinomial, n, m);
+
+        // Crash a deterministic subset of the destination ranks. The
+        // draw depends only on (salt, fault seed) — not on the drop
+        // rate — so cells in one column share crash sets and a shuffle
+        // prefix makes them nested across crash counts: the grid uses
+        // common random numbers along both axes.
+        let mut ranks: Vec<Rank> = (1..n).map(Rank).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(
+            salt.wrapping_mul(0x2545_F491_4F6C_DD1D)
+                .wrapping_add(spec.seed),
+        );
+        ranks.shuffle(&mut rng);
+        let failed: Vec<Rank> = ranks[..spec.crashes as usize].to_vec();
+
+        // Link-outage channels come from the same stream *after* the
+        // crash shuffle, so enabling the outage axis never changes a
+        // cell's crash sets.
+        let outages: Vec<LinkFailure> = if spec.link_outages > 0 {
+            let channels = u64::from(topo.net.num_channels());
+            let wanted = u64::from(spec.link_outages).min(channels) as usize;
+            let mut chosen: Vec<ChannelId> = Vec::with_capacity(wanted);
+            while chosen.len() < wanted {
+                let c = ChannelId((rng.next_u64() % channels) as u32);
+                if !chosen.contains(&c) {
+                    chosen.push(c);
+                }
+            }
+            chosen
+                .into_iter()
+                .map(|channel| LinkFailure {
+                    channel,
+                    from_us: spec.outage_from_us,
+                    until_us: spec.outage_until_us,
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        let crashes: Vec<HostCrash> = failed
+            .iter()
+            .map(|&r| HostCrash {
+                host: chain[r.index()],
+                at_us: spec.crash_at_us,
+            })
+            .collect();
+        let plan = spec.plan_with_outages(salt, crashes, outages);
+
+        // Live repair binds the FULL membership: the drawn hosts crash
+        // mid-run and the simulator repairs around them. Otherwise the
+        // tree is repaired up front and only the survivors are bound.
+        let job = if spec.live_repair {
+            MulticastJob::fpfs(tree, chain, m)
+        } else {
+            let repair = tree
+                .repair(&failed)
+                .expect("crash sets exclude the source and are in range");
+            agg.reattached += repair.reattached.len() as u64;
+            let binding: Vec<HostId> = repair
+                .new_to_old
+                .iter()
+                .map(|&old| chain[old.index()])
+                .collect();
+            MulticastJob::fpfs(repair.tree, binding, m)
+        };
+        match SimRun::new(
+            &topo.net,
+            std::slice::from_ref(&job),
+            cfg.params(),
+            WorkloadConfig::default(),
+        )
+        .faults(&plan)
+        .run()
+        {
+            Ok(out) => {
+                let c = &out.counters;
+                self.record_effort(c.events, c.peak_queue_len);
+                agg.delivered += 1;
+                agg.latency_sum += out.jobs[0].latency_us;
+                agg.add_counters(c);
+                if spec.live_repair {
+                    if c.repairs > 0 {
+                        agg.reached_after_repair += 1;
+                    }
+                    agg.unreachable_crashed += out.unreached.len() as u64;
+                }
+            }
+            Err(SimError::DeliveryFailed {
+                unreached,
+                counters,
+            }) => {
+                self.record_effort(counters.events, counters.peak_queue_len);
+                agg.failed += 1;
+                agg.unreached += unreached.len() as u64;
+                agg.add_counters(&counters);
+            }
+            Err(other) => unreachable!("validated chaos plan rejected: {other}"),
+        }
     }
 }
 

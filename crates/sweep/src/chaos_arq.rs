@@ -20,20 +20,20 @@
 //! charged for its steady-state overhead. The first swept drop rate must
 //! therefore be `0.0`.
 //!
-//! Like every sweep, cells fan out over the worker pool with a fixed
-//! floating-point reduction order: the emitted JSON is byte-identical for
-//! every thread count and records no thread count.
+//! Cells run on the shared grid runner, so the emitted JSON is byte-identical
+//! for every thread count (and records none).
 
 use crate::engine::Sweep;
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
+use crate::grid::{unravel, Sample};
 use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_netsim::{FaultPlanSpec, MulticastJob, NiModel, SimError, SimRun, WorkloadConfig};
 
 /// Aggregated outcome of one `(mode, drop rate)` ARQ chaos cell over the
 /// full `topologies × dest_sets` sample set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArqCell {
     /// Per-transmission loss probability of this cell.
     pub drop_rate: f64,
@@ -164,10 +164,7 @@ impl ArqReport {
         if let Some(d) = self.fault.deadline_us {
             meta.push(("deadline_us", Json::from(d)));
         }
-        meta.push((
-            "drop_rates",
-            Json::Arr(self.drop_rates.iter().map(|&d| Json::from(d)).collect()),
-        ));
+        meta.push(("drop_rates", Json::from(self.drop_rates.as_slice())));
         meta.push(("all_reached", Json::from(self.all_reached())));
         Json::obj(vec![
             ("id", Json::from("chaos_arq")),
@@ -278,81 +275,49 @@ impl Sweep {
     ) -> Result<ArqReport, SweepError> {
         let cfg = *self.config();
         let fault = cfg.fault();
-        crate::config::validate_fault_spec(&fault)?;
-        if m == 0 {
-            return Err(SweepError::ZeroPackets);
-        }
-        let hosts = cfg.net().hosts;
-        if dests >= hosts {
-            return Err(SweepError::TooManyDests { dests, hosts });
-        }
-        for &d in drop_rates {
-            if !(0.0..1.0).contains(&d) {
-                return Err(SweepError::InvalidFaultSpec("drop_rate must lie in [0, 1)"));
-            }
-        }
+        self.check_fault_grid(&fault, drop_rates, dests, m)?;
+        let err = SweepError::InvalidFaultSpec;
         if drop_rates.first() != Some(&0.0) {
-            return Err(SweepError::InvalidFaultSpec(
-                "the first drop rate must be the 0.0 recovery baseline",
-            ));
+            return Err(err("the first drop rate must be the 0.0 recovery baseline"));
         }
         if window < 2 {
-            return Err(SweepError::InvalidFaultSpec(
-                "the windowed series needs window >= 2",
-            ));
+            return Err(err("the windowed series needs window >= 2"));
         }
         if send_units == 0 {
-            return Err(SweepError::InvalidFaultSpec(
-                "send_units must be at least 1",
-            ));
+            return Err(err("send_units must be at least 1"));
         }
         if fault.live_repair {
-            return Err(SweepError::InvalidFaultSpec(
+            return Err(err(
                 "windowed ARQ does not combine with live repair; use deadline_us",
             ));
         }
         if fault.ni_buffer_capacity.is_some() {
-            return Err(SweepError::InvalidFaultSpec(
+            return Err(err(
                 "windowed ARQ bounds queues via NiModel::queue_capacity, not ni_buffer_capacity",
             ));
         }
-        let topologies = cfg.topologies() as usize;
         let drops = drop_rates.len();
-        let aggs = self.run_cells(2 * drops * topologies, |i| {
-            let cell = i / topologies;
-            let windowed = cell / drops == 1;
-            let spec = FaultPlanSpec {
-                drop_rate: drop_rates[cell % drops],
+        let spec_of = |cell| {
+            let [mode, d] = unravel(cell, [2, drops]);
+            let windowed = mode == 1;
+            FaultPlanSpec {
+                drop_rate: drop_rates[d],
                 crashes: 0,
                 window: if windowed { window } else { 1 },
                 send_units: if windowed { send_units } else { 1 },
                 ..fault
-            };
-            self.arq_topology(spec, dests, m, (i % topologies) as u32)
-        });
-        let mut cells: Vec<ArqCell> = aggs
-            .chunks_exact(topologies)
-            .enumerate()
-            .map(|(cell, per_topology)| {
+            }
+        };
+        let mut cells = self.run_grid(
+            2 * drops,
+            |cell, at, agg| self.arq_sample(spec_of(cell), dests, m, at, agg),
+            |cell, per_topology: &[ArqAgg]| {
+                let spec = spec_of(cell);
                 let mut out = ArqCell {
-                    drop_rate: drop_rates[cell % drops],
-                    windowed: cell / drops == 1,
+                    drop_rate: spec.drop_rate,
+                    windowed: spec.window > 1,
                     samples: cfg.samples(),
-                    delivered: 0,
-                    failed: 0,
-                    unreached: 0,
-                    mean_latency_us: 0.0,
-                    recovery_latency_us: 0.0,
-                    packets_dropped: 0,
-                    retransmits: 0,
-                    deliveries_abandoned: 0,
-                    recovery_wait_us: 0.0,
-                    resend_requests: 0,
-                    nack_ranges_sent: 0,
-                    late_acks: 0,
-                    duplicate_acks: 0,
-                    window_stalls_us: 0.0,
-                    deadline_writeoffs: 0,
+                    ..ArqCell::default()
                 };
                 let mut latency_sum = 0.0;
                 for agg in per_topology {
@@ -375,17 +340,14 @@ impl Sweep {
                     out.mean_latency_us = latency_sum / f64::from(out.delivered);
                 }
                 out
-            })
-            .collect();
+            },
+        );
         // Recovery latency: each cell against its own mode's lossless
         // baseline (index 0 of the mode's row), in fixed index order.
-        for mode in 0..2 {
-            let baseline = cells[mode * drops].mean_latency_us;
-            for d in 0..drops {
-                let cell = &mut cells[mode * drops + d];
-                if cell.delivered > 0 {
-                    cell.recovery_latency_us = cell.mean_latency_us - baseline;
-                }
+        for row in cells.chunks_mut(drops) {
+            let baseline = row[0].mean_latency_us;
+            for cell in row.iter_mut().filter(|cell| cell.delivered > 0) {
+                cell.recovery_latency_us = cell.mean_latency_us - baseline;
             }
         }
         Ok(ArqReport {
@@ -402,12 +364,17 @@ impl Sweep {
         })
     }
 
-    /// One ARQ cell's samples on topology `t`, evaluated sequentially in
-    /// destination-set order (the fixed floating-point order). The spec
-    /// already carries the cell's mode (`window`, `send_units`).
-    fn arq_topology(&self, spec: FaultPlanSpec, dests: u32, m: u32, t: u32) -> ArqAgg {
-        let cfg = *self.config();
-        let topo = self.topology(t);
+    /// Folds one ARQ sample into its topology's partial. The spec already
+    /// carries the cell's mode (`window`, `send_units`).
+    fn arq_sample(
+        &self,
+        spec: FaultPlanSpec,
+        dests: u32,
+        m: u32,
+        at: &Sample<'_>,
+        agg: &mut ArqAgg,
+    ) {
+        let (topo, salt) = (at.topo, at.salt);
         let config = WorkloadConfig {
             ni: NiModel {
                 send_units: spec.send_units,
@@ -415,39 +382,39 @@ impl Sweep {
             },
             ..WorkloadConfig::default()
         };
-        let mut agg = ArqAgg::default();
-        for s in 0..cfg.dest_sets() {
-            let salt = cfg.set_seed(t, s);
-            let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
-            let n = chain.len() as u32;
-            let tree = self.tree(TreePolicy::OptimalKBinomial, n, m);
-            let plan = spec.plan(salt, Vec::new());
-            let job = MulticastJob::fpfs(tree, chain, m);
-            match SimRun::new(&topo.net, std::slice::from_ref(&job), cfg.params(), config)
-                .faults(&plan)
-                .run()
-            {
-                Ok(out) => {
-                    let c = &out.counters;
-                    self.record_effort(c.events, c.peak_queue_len);
-                    agg.delivered += 1;
-                    agg.latency_sum += out.jobs[0].latency_us;
-                    agg.unreached += out.unreached.len() as u64;
-                    agg.add_counters(c);
-                }
-                Err(SimError::DeliveryFailed {
-                    unreached,
-                    counters,
-                }) => {
-                    self.record_effort(counters.events, counters.peak_queue_len);
-                    agg.failed += 1;
-                    agg.unreached += unreached.len() as u64;
-                    agg.add_counters(&counters);
-                }
-                Err(other) => unreachable!("validated ARQ chaos plan rejected: {other}"),
+        let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
+        let n = chain.len() as u32;
+        let tree = self.tree(TreePolicy::OptimalKBinomial, n, m);
+        let plan = spec.plan(salt, Vec::new());
+        let job = MulticastJob::fpfs(tree, chain, m);
+        match SimRun::new(
+            &topo.net,
+            std::slice::from_ref(&job),
+            self.config().params(),
+            config,
+        )
+        .faults(&plan)
+        .run()
+        {
+            Ok(out) => {
+                let c = &out.counters;
+                self.record_effort(c.events, c.peak_queue_len);
+                agg.delivered += 1;
+                agg.latency_sum += out.jobs[0].latency_us;
+                agg.unreached += out.unreached.len() as u64;
+                agg.add_counters(c);
             }
+            Err(SimError::DeliveryFailed {
+                unreached,
+                counters,
+            }) => {
+                self.record_effort(counters.events, counters.peak_queue_len);
+                agg.failed += 1;
+                agg.unreached += unreached.len() as u64;
+                agg.add_counters(&counters);
+            }
+            Err(other) => unreachable!("validated ARQ chaos plan rejected: {other}"),
         }
-        agg
     }
 }
 

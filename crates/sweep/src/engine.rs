@@ -1,19 +1,21 @@
 //! The deterministic parallel sweep engine.
 //!
-//! The unit of parallel work is a **cell**: one `(point, topology)` pair,
-//! where a point is a `(policy, dests, m)` sweep coordinate. Each cell
-//! evaluates its point's `dest_sets` samples *sequentially* on its topology
-//! (the same floating-point order the historic serial runner used), and the
-//! reduction sums per-topology means in topology-index order — so the
-//! result is bit-identical for every worker count, pinned by golden tests
-//! against the committed `results/*.json`.
+//! [`Sweep`] owns the validated configuration, the memo layer, and the
+//! worker pool. The figure grid ([`Sweep::grid`]) and every other sweep run
+//! on the shared grid runner (`Sweep::run_grid` in `grid.rs`): the unit of
+//! parallel work is one `(cell, topology)` pair whose `dest_sets` samples
+//! are evaluated *sequentially* (the same floating-point order the historic
+//! serial runner used), and the reduction folds per-topology partials in
+//! topology-index order — so the result is bit-identical for every worker
+//! count, pinned by golden tests against the committed `results/*.json`.
 //!
-//! Workers pull cells from a shared atomic counter (self-scheduling chunk
+//! Workers pull units from a shared atomic counter (self-scheduling chunk
 //! queue) and stamp results into index-addressed slots; only wall time
 //! depends on the thread count.
 
 use crate::config::SweepConfig;
 use crate::error::SweepError;
+use crate::grid::Sample;
 use crate::memo::{CacheStats, SweepCache, TopologyEntry};
 use crate::sampling::TreePolicy;
 use optimcast_core::tree::MulticastTree;
@@ -57,21 +59,6 @@ impl PointSpec {
             run: RunConfig::default(),
         }
     }
-}
-
-/// Summary statistics of a latency sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyStats {
-    /// Mean latency (µs).
-    pub mean: f64,
-    /// Sample standard deviation (µs); 0 for a single sample.
-    pub std: f64,
-    /// Fastest observed run (µs).
-    pub min: f64,
-    /// Slowest observed run (µs).
-    pub max: f64,
-    /// Number of samples (topologies × destination sets).
-    pub samples: u32,
 }
 
 /// The sweep engine: a validated configuration plus the memoization layer,
@@ -144,27 +131,16 @@ impl Sweep {
     /// [`SweepError::TooManyDests`] or [`SweepError::ZeroPackets`] if a
     /// point cannot be sampled on the configured network.
     pub fn grid(&self, specs: &[PointSpec]) -> Result<Vec<f64>, SweepError> {
-        let hosts = self.cfg.net().hosts;
         for spec in specs {
-            if spec.m == 0 {
-                return Err(SweepError::ZeroPackets);
-            }
-            if spec.dests >= hosts {
-                return Err(SweepError::TooManyDests {
-                    dests: spec.dests,
-                    hosts,
-                });
-            }
+            self.check_point(spec.dests, spec.m)?;
         }
-        let topologies = self.cfg.topologies() as usize;
-        let means = self.run_cells(specs.len() * topologies, |cell| {
-            let spec = &specs[cell / topologies];
-            self.topology_mean(spec, (cell % topologies) as u32)
-        });
-        Ok(means
-            .chunks_exact(topologies)
-            .map(|per_topology| per_topology.iter().sum::<f64>() / topologies as f64)
-            .collect())
+        let dest_sets = f64::from(self.cfg.dest_sets());
+        let topologies = f64::from(self.cfg.topologies());
+        Ok(self.run_grid(
+            specs.len(),
+            |cell, at, sum: &mut f64| *sum += self.sample_latency(&specs[cell], at),
+            |_, sums| sums.iter().map(|sum| sum / dest_sets).sum::<f64>() / topologies,
+        ))
     }
 
     /// Average simulated multicast latency (µs) of one point, following the
@@ -180,59 +156,11 @@ impl Sweep {
         m: u32,
         run: RunConfig,
     ) -> Result<f64, SweepError> {
-        Ok(self.grid(&[PointSpec {
-            policy,
-            dests,
-            m,
-            run,
-        }])?[0])
-    }
-
-    /// As [`Self::avg_latency`], but returning full per-sample statistics —
-    /// useful for judging whether a figure's differences exceed sampling
-    /// noise.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::grid`].
-    pub fn latency_stats(
-        &self,
-        policy: TreePolicy,
-        dests: u32,
-        m: u32,
-        run: RunConfig,
-    ) -> Result<LatencyStats, SweepError> {
-        let hosts = self.cfg.net().hosts;
-        if m == 0 {
-            return Err(SweepError::ZeroPackets);
-        }
-        if dests >= hosts {
-            return Err(SweepError::TooManyDests { dests, hosts });
-        }
         let spec = PointSpec {
-            policy,
-            dests,
-            m,
             run,
+            ..PointSpec::new(policy, dests, m)
         };
-        let per_topology: Vec<Vec<f64>> = self.run_cells(self.cfg.topologies() as usize, |t| {
-            self.topology_samples(&spec, t as u32)
-        });
-        let all: Vec<f64> = per_topology.into_iter().flatten().collect();
-        let nsamp = all.len() as f64;
-        let mean = all.iter().sum::<f64>() / nsamp;
-        let var = if all.len() > 1 {
-            all.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (nsamp - 1.0)
-        } else {
-            0.0
-        };
-        Ok(LatencyStats {
-            mean,
-            std: var.sqrt(),
-            min: all.iter().copied().fold(f64::INFINITY, f64::min),
-            max: all.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            samples: all.len() as u32,
-        })
+        Ok(self.grid(&[spec])?[0])
     }
 
     /// Sanity bound used by tests and the figures binary: the largest
@@ -255,105 +183,38 @@ impl Sweep {
             .fold(0.0, f64::max))
     }
 
-    /// Maps an arbitrary per-topology evaluation over all configured
-    /// topologies on the worker pool, preserving topology order. The
-    /// closure receives the memoized `(network, CCO ordering)` entry; this
-    /// is the extension point for workloads the figure grid does not cover
-    /// (multi-source multicasts, custom job mixes) without touching the
-    /// engine.
-    pub fn map_topologies<T: Send>(&self, f: impl Fn(u32, &TopologyEntry) -> T + Sync) -> Vec<T> {
-        self.run_cells(self.cfg.topologies() as usize, |t| {
-            let topo = self.cache.topology(&self.cfg, t as u32);
-            f(t as u32, &topo)
-        })
-    }
-
-    /// The §5.2 inner loop of one cell: the point's `dest_sets` samples on
-    /// topology `t`, evaluated sequentially, returning their mean. This is
-    /// the exact floating-point order of the historic serial runner.
-    fn topology_mean(&self, spec: &PointSpec, t: u32) -> f64 {
-        let samples = self.topology_samples(spec, t);
-        samples.iter().sum::<f64>() / f64::from(self.cfg.dest_sets())
-    }
-
-    /// Per-sample latencies of one cell, in destination-set order. The
+    /// The simulated latency (µs) of one sample of a grid point. The
     /// chain, tree, and interned CSR route table all come from the memo
     /// layer — a figure series revisits the same `(t, s)` sample for every
     /// packet-count point, so only the first point of a series pays for
     /// sampling and routing.
-    fn topology_samples(&self, spec: &PointSpec, t: u32) -> Vec<f64> {
-        let topo = self.cache.topology(&self.cfg, t);
-        (0..self.cfg.dest_sets())
-            .map(|s| {
-                let chain = self.cache.chain(&self.cfg, &topo, t, s, spec.dests);
-                let tree = self.cache.tree(spec.policy, chain.len() as u32, spec.m);
-                let routes = self.cache.routes(
-                    &self.cfg,
-                    &topo,
-                    t,
-                    s,
-                    spec.dests,
-                    spec.policy,
-                    spec.m,
-                    &tree,
-                    &chain,
-                );
-                let out = run_multicast_prerouted(
-                    &topo.net,
-                    tree,
-                    &chain,
-                    routes,
-                    spec.m,
-                    self.cfg.params(),
-                    spec.run,
-                )
-                .expect("sampled chains form valid bindings");
-                self.record_effort(out.events, out.peak_queue_len);
-                out.latency_us
-            })
-            .collect()
-    }
-
-    /// Evaluates `f(0..n)` on the worker pool and returns the results in
-    /// index order. Workers self-schedule off a shared atomic counter;
-    /// every result lands in its index slot, so ordering (and therefore
-    /// every downstream reduction) is independent of scheduling.
-    pub(crate) fn run_cells<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let workers = self.cfg.threads().min(n);
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            done.push((i, f(i)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, value) in handle.join().expect("sweep worker panicked") {
-                    slots[i] = Some(value);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every cell was scheduled exactly once"))
-            .collect()
+    fn sample_latency(&self, spec: &PointSpec, at: &Sample<'_>) -> f64 {
+        let (topo, t, s) = (at.topo, at.t, at.s);
+        let chain = self.cache.chain(&self.cfg, topo, t, s, spec.dests);
+        let tree = self.cache.tree(spec.policy, chain.len() as u32, spec.m);
+        let routes = self.cache.routes(
+            &self.cfg,
+            topo,
+            t,
+            s,
+            spec.dests,
+            spec.policy,
+            spec.m,
+            &tree,
+            &chain,
+        );
+        let out = run_multicast_prerouted(
+            &topo.net,
+            tree,
+            &chain,
+            routes,
+            spec.m,
+            self.cfg.params(),
+            spec.run,
+        )
+        .expect("sampled chains form valid bindings");
+        self.record_effort(out.events, out.peak_queue_len);
+        out.latency_us
     }
 }
 
@@ -364,15 +225,6 @@ mod tests {
 
     fn quick(threads: usize) -> Sweep {
         SweepBuilder::quick().parallelism(threads).build().unwrap()
-    }
-
-    #[test]
-    fn run_cells_preserves_order() {
-        for threads in [1, 2, 8] {
-            let sweep = quick(threads);
-            let v = sweep.run_cells(9, |i| i * 10);
-            assert_eq!(v, (0..9).map(|i| i * 10).collect::<Vec<_>>());
-        }
     }
 
     #[test]
@@ -409,31 +261,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_bracket_the_mean() {
+    fn topology_builds_once_per_index() {
+        use optimcast_topology::Network as _;
         let sweep = quick(2);
-        let s = sweep
-            .latency_stats(TreePolicy::Binomial, 15, 2, RunConfig::default())
-            .unwrap();
-        assert_eq!(s.samples, sweep.config().samples());
-        assert!(s.min <= s.mean && s.mean <= s.max);
-        assert!(s.std >= 0.0);
-        let a = sweep
-            .avg_latency(TreePolicy::Binomial, 15, 2, RunConfig::default())
-            .unwrap();
-        // avg_latency averages per-topology means of equal sample counts,
-        // so it equals the grand mean.
-        assert!((a - s.mean).abs() < 1e-9);
-    }
-
-    #[test]
-    fn map_topologies_sees_cached_entries() {
-        let sweep = quick(2);
-        let hosts = sweep.map_topologies(|_, topo| {
-            use optimcast_topology::Network as _;
-            topo.net.num_hosts()
-        });
-        assert_eq!(hosts, vec![64, 64]);
-        // The closure ran off the cache: two topology misses, no rebuilds.
+        for t in [0, 1, 0, 1] {
+            assert_eq!(sweep.topology(t).net.num_hosts(), 64);
+        }
+        // Two topologies, two memo misses; the repeat lookups are hits.
         assert_eq!(sweep.cache_stats().misses, 2);
+        assert_eq!(sweep.cache_stats().hits, 2);
     }
 }

@@ -29,6 +29,98 @@ pub struct Figure {
     pub series: Vec<Series>,
 }
 
+impl Figure {
+    /// Every distinct x value across the series, in first-seen order.
+    pub fn x_values(&self) -> Vec<f64> {
+        let mut xs: Vec<f64> = Vec::new();
+        for s in &self.series {
+            for &(x, _) in &s.points {
+                if !xs.contains(&x) {
+                    xs.push(x);
+                }
+            }
+        }
+        xs
+    }
+
+    /// The `.dat` table of [`Self::write_plots`].
+    fn gnuplot_dat(&self) -> String {
+        let mut dat = String::from("# x");
+        for s in &self.series {
+            dat.push_str(&format!("  \"{}\"", s.label));
+        }
+        dat.push('\n');
+        let mut xs = self.x_values();
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("figure x values are never NaN"));
+        for x in xs {
+            dat.push_str(&format!("{x}"));
+            for s in &self.series {
+                match s.points.iter().find(|&&(px, _)| px == x) {
+                    Some(&(_, y)) => dat.push_str(&format!(" {y}")),
+                    None => dat.push_str(" ?"),
+                }
+            }
+            dat.push('\n');
+        }
+        dat
+    }
+
+    /// The `.gp` script of [`Self::write_plots`].
+    fn gnuplot_script(&self) -> String {
+        let mut gp = format!(
+            "set title \"{}\"\nset xlabel \"{}\"\nset ylabel \"{}\"\nset key left top\nset grid\n",
+            self.title, self.x_label, self.y_label
+        );
+        gp.push_str(&format!(
+            "set terminal pngcairo size 800,600\nset output \"{}.png\"\nset datafile missing \"?\"\nplot ",
+            self.id
+        ));
+        let plots: Vec<String> = self
+            .series
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                format!(
+                    "\"{}.dat\" using 1:{} with linespoints title \"{}\"",
+                    self.id,
+                    i + 2,
+                    s.label
+                )
+            })
+            .collect();
+        gp.push_str(&plots.join(", \\\n     "));
+        gp.push('\n');
+        gp
+    }
+
+    /// Writes the figure as gnuplot files, creating `dir` first:
+    /// `<dir>/<id>.dat` holds a `# x "label"…` header and one row per x
+    /// value (ascending, one column per series, `?` for a missing point);
+    /// `<dir>/<id>.gp` is a pngcairo script plotting every series. Returns
+    /// the two paths written.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O failure, its message naming the path.
+    pub fn write_plots(&self, dir: &str) -> std::io::Result<[String; 2]> {
+        let annotate = |what: &str, path: &str, e: std::io::Error| {
+            std::io::Error::new(e.kind(), format!("cannot {what} {path}: {e}"))
+        };
+        std::fs::create_dir_all(dir).map_err(|e| annotate("create", dir, e))?;
+        let paths = [
+            format!("{dir}/{}.dat", self.id),
+            format!("{dir}/{}.gp", self.id),
+        ];
+        for (path, body) in paths
+            .iter()
+            .zip([self.gnuplot_dat(), self.gnuplot_script()])
+        {
+            std::fs::write(path, body).map_err(|e| annotate("write", path, e))?;
+        }
+        Ok(paths)
+    }
+}
+
 /// Typed identifier of every figure the reproduction regenerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FigureId {
@@ -131,6 +223,30 @@ mod tests {
             "fig99".parse::<FigureId>(),
             Err(SweepError::UnknownFigure("fig99".into()))
         );
+    }
+
+    #[test]
+    fn gnuplot_table_marks_missing_points() {
+        let fig = Figure {
+            id: "demo".into(),
+            title: "t".into(),
+            x_label: "x".into(),
+            y_label: "y".into(),
+            series: vec![
+                Series {
+                    label: "a".into(),
+                    points: vec![(2.0, 20.0), (1.0, 10.0)],
+                },
+                Series {
+                    label: "b".into(),
+                    points: vec![(2.0, 0.5)],
+                },
+            ],
+        };
+        assert_eq!(fig.gnuplot_dat(), "# x  \"a\"  \"b\"\n1 10 ?\n2 20 0.5\n");
+        let gp = fig.gnuplot_script();
+        assert!(gp.contains("\"demo.dat\" using 1:2 with linespoints title \"a\", \\\n"));
+        assert!(gp.ends_with("\"demo.dat\" using 1:3 with linespoints title \"b\"\n"));
     }
 
     #[test]

@@ -214,6 +214,12 @@ impl From<bool> for Json {
     }
 }
 
+impl<T: Copy + Into<Json>> From<&[T]> for Json {
+    fn from(items: &[T]) -> Json {
+        Json::Arr(items.iter().map(|&x| x.into()).collect())
+    }
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

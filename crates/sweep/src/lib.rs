@@ -40,6 +40,7 @@ mod engine;
 mod error;
 mod figure;
 mod figures;
+mod grid;
 mod json;
 mod mega;
 mod memo;
@@ -54,7 +55,7 @@ pub use chaos_arq::{ArqCell, ArqReport};
 pub use chaos_figures::ChaosFigureId;
 pub use compare::{bench_regressions, RateCheck};
 pub use config::{SweepBuilder, SweepConfig};
-pub use engine::{LatencyStats, PointSpec, SimEffort, Sweep};
+pub use engine::{PointSpec, SimEffort, Sweep};
 pub use error::SweepError;
 pub use figure::{Figure, FigureId, Series};
 pub use figures::{

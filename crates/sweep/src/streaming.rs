@@ -22,13 +22,13 @@
 //! **frame staleness** (delivery completion minus emission — queueing
 //! delay included), and the **drop rate** the backpressure policy paid.
 //!
-//! Like every sweep, cells fan out over the worker pool with a fixed
-//! floating-point reduction order: the emitted JSON is byte-identical for
-//! every thread count and records no thread count.
+//! Cells run on the shared grid runner, so the emitted JSON is byte-identical
+//! for every thread count (and records none).
 
 use crate::engine::Sweep;
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
+use crate::grid::{unravel, Sample};
 use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_core::latency::smart_latency_us;
@@ -87,7 +87,7 @@ impl StreamGrid {
         }
     }
 
-    fn validate(&self, hosts: u32) -> Result<(), SweepError> {
+    fn validate(&self) -> Result<(), SweepError> {
         let err = SweepError::InvalidStreamAxis;
         if self.churn_levels.is_empty() || self.loads.is_empty() || self.buffer_depths.is_empty() {
             return Err(err("every axis needs at least one value"));
@@ -106,19 +106,18 @@ impl StreamGrid {
         if self.dests == 0 {
             return Err(err("a stream needs at least one destination"));
         }
-        if self.dests >= hosts {
-            return Err(SweepError::TooManyDests {
-                dests: self.dests,
-                hosts,
-            });
-        }
         Ok(())
+    }
+
+    /// Packets per frame: `ceil(frame_bytes / mtu_bytes)`.
+    fn packets(&self) -> u32 {
+        self.frame_bytes.div_ceil(self.mtu_bytes)
     }
 }
 
 /// Aggregated outcome of one `(churn, load, buffer)` cell over the full
 /// `topologies × dest_sets` sample set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamCell {
     /// Churn events per stream of this cell.
     pub churn_events: u32,
@@ -218,27 +217,12 @@ impl StreamReport {
             ("base_seed", Json::from(self.base_seed)),
             (
                 "churn_levels",
-                Json::Arr(
-                    self.grid
-                        .churn_levels
-                        .iter()
-                        .map(|&c| Json::from(c))
-                        .collect(),
-                ),
+                Json::from(self.grid.churn_levels.as_slice()),
             ),
-            (
-                "loads",
-                Json::Arr(self.grid.loads.iter().map(|&l| Json::from(l)).collect()),
-            ),
+            ("loads", Json::from(self.grid.loads.as_slice())),
             (
                 "buffer_depths",
-                Json::Arr(
-                    self.grid
-                        .buffer_depths
-                        .iter()
-                        .map(|&b| Json::from(b))
-                        .collect(),
-                ),
+                Json::from(self.grid.buffer_depths.as_slice()),
             ),
         ];
         Json::obj(vec![
@@ -310,49 +294,32 @@ impl Sweep {
     /// destinations; [`SweepError::TooManyDests`] when the network cannot
     /// seat `dests + 1` participants.
     pub fn streaming(&self, grid: &StreamGrid) -> Result<StreamReport, SweepError> {
+        grid.validate()?;
+        self.check_point(grid.dests, grid.packets())?;
         let cfg = *self.config();
-        grid.validate(cfg.net().hosts)?;
-        let topologies = cfg.topologies() as usize;
-        let loads = grid.loads.len();
-        let buffers = grid.buffer_depths.len();
-        let cell_count = grid.churn_levels.len() * loads * buffers;
-
-        let aggs = self.run_cells(cell_count * topologies, |i| {
-            let cell = i / topologies;
-            let b = cell % buffers;
-            let l = (cell / buffers) % loads;
-            let c = cell / (buffers * loads);
-            self.stream_topology(
-                grid,
-                grid.churn_levels[c],
-                grid.loads[l],
-                grid.buffer_depths[b],
-                (i % topologies) as u32,
-            )
-        });
-
-        let cells: Vec<StreamCell> = aggs
-            .chunks_exact(topologies)
-            .enumerate()
-            .map(|(cell, per_topology)| {
-                let b = cell % buffers;
-                let l = (cell / buffers) % loads;
-                let c = cell / (buffers * loads);
+        let dims = [
+            grid.churn_levels.len(),
+            grid.loads.len(),
+            grid.buffer_depths.len(),
+        ];
+        let axes_of = |cell| {
+            let [c, l, b] = unravel(cell, dims);
+            (grid.churn_levels[c], grid.loads[l], grid.buffer_depths[b])
+        };
+        let cells = self.run_grid(
+            dims.iter().product(),
+            |cell, at, agg| {
+                let (churn, load, buffer) = axes_of(cell);
+                self.stream_sample(grid, churn, load, buffer, at, agg);
+            },
+            |cell, per_topology: &[StreamAgg]| {
+                let (churn_events, load, buffer_frames) = axes_of(cell);
                 let mut out = StreamCell {
-                    churn_events: grid.churn_levels[c],
-                    load: grid.loads[l],
-                    buffer_frames: grid.buffer_depths[b],
+                    churn_events,
+                    load,
+                    buffer_frames,
                     samples: cfg.samples(),
-                    emitted: 0,
-                    served: 0,
-                    dropped: 0,
-                    drop_rate: 0.0,
-                    joins: 0,
-                    leaves: 0,
-                    churn_skipped: 0,
-                    mean_goodput_mbps: 0.0,
-                    mean_staleness_us: 0.0,
-                    max_staleness_us: 0.0,
+                    ..StreamCell::default()
                 };
                 let (mut goodput_sum, mut stale_sum) = (0.0, 0.0);
                 for agg in per_topology {
@@ -370,8 +337,8 @@ impl Sweep {
                 out.mean_goodput_mbps = goodput_sum / f64::from(out.samples);
                 out.mean_staleness_us = stale_sum / f64::from(out.samples);
                 out
-            })
-            .collect();
+            },
+        );
 
         Ok(StreamReport {
             grid: grid.clone(),
@@ -382,69 +349,63 @@ impl Sweep {
         })
     }
 
-    /// One streaming cell's samples on topology `t`, evaluated
-    /// sequentially in destination-set order (the fixed floating-point
-    /// order).
-    fn stream_topology(
+    /// Folds one streaming sample into its topology's partial.
+    fn stream_sample(
         &self,
         grid: &StreamGrid,
         churn: u32,
         load: f64,
         buffer: u32,
-        t: u32,
-    ) -> StreamAgg {
-        let cfg = *self.config();
-        let topo = self.topology(t);
-        let packets = grid.frame_bytes.div_ceil(grid.mtu_bytes);
-        let mut agg = StreamAgg::default();
-        for s in 0..cfg.dest_sets() {
-            let salt = cfg.set_seed(t, s);
-            let chain = sample_chain(&topo.net, &topo.ordering, salt, grid.dests);
-            let n = chain.len() as u32;
-            // Nominal frame service time on the optimal tree for this
-            // sample's shape, as the latency figures chart it.
-            let tree = self.tree(TreePolicy::OptimalKBinomial, n, packets);
-            let k = tree.max_degree().max(1);
-            let nominal_us = smart_latency_us(&fpfs_schedule(&tree, packets), cfg.params());
-            let spec = StreamSpec {
-                frame_bytes: grid.frame_bytes,
-                mtu_bytes: grid.mtu_bytes,
-                gap_us: nominal_us / load,
-                frames: grid.frames,
-                buffer_frames: buffer,
-                churn_events: churn,
-                churn_seed: salt.wrapping_mul(CHURN_SALT).wrapping_add(u64::from(churn)),
-                keep_frame_outcomes: false,
-            };
-            let out = StreamRun::new(&topo.net, &chain, n, k, cfg.params(), spec)
-                .run()
-                .expect("validated streaming sample completes");
-            self.record_effort(out.events, out.peak_queue_len);
+        at: &Sample<'_>,
+        agg: &mut StreamAgg,
+    ) {
+        let cfg = self.config();
+        let (topo, salt) = (at.topo, at.salt);
+        let packets = grid.packets();
+        let chain = sample_chain(&topo.net, &topo.ordering, salt, grid.dests);
+        let n = chain.len() as u32;
+        // Nominal frame service time on the optimal tree for this
+        // sample's shape, as the latency figures chart it.
+        let tree = self.tree(TreePolicy::OptimalKBinomial, n, packets);
+        let k = tree.max_degree().max(1);
+        let nominal_us = smart_latency_us(&fpfs_schedule(&tree, packets), cfg.params());
+        let spec = StreamSpec {
+            frame_bytes: grid.frame_bytes,
+            mtu_bytes: grid.mtu_bytes,
+            gap_us: nominal_us / load,
+            frames: grid.frames,
+            buffer_frames: buffer,
+            churn_events: churn,
+            churn_seed: salt.wrapping_mul(CHURN_SALT).wrapping_add(u64::from(churn)),
+            keep_frame_outcomes: false,
+        };
+        let out = StreamRun::new(&topo.net, &chain, n, k, cfg.params(), spec)
+            .run()
+            .expect("validated streaming sample completes");
+        self.record_effort(out.events, out.peak_queue_len);
 
-            agg.emitted += u64::from(grid.frames);
-            agg.served += u64::from(out.served);
-            agg.dropped += u64::from(out.dropped);
-            agg.joins += u64::from(out.joins);
-            agg.leaves += u64::from(out.leaves);
-            agg.churn_skipped += u64::from(out.churn_skipped);
-            if !out.receivers.is_empty() {
-                agg.goodput_sum += out.receivers.iter().map(|r| r.goodput_mbps).sum::<f64>()
-                    / out.receivers.len() as f64;
-            }
-            let (mut stale_sum, mut served) = (0.0, 0u32);
-            for f in &out.frames {
-                if let FrameFate::Delivered { completion_us, .. } = f.fate {
-                    let staleness = completion_us - f.emitted_us;
-                    stale_sum += staleness;
-                    served += 1;
-                    agg.stale_max = agg.stale_max.max(staleness);
-                }
-            }
-            if served > 0 {
-                agg.stale_sum += stale_sum / f64::from(served);
+        agg.emitted += u64::from(grid.frames);
+        agg.served += u64::from(out.served);
+        agg.dropped += u64::from(out.dropped);
+        agg.joins += u64::from(out.joins);
+        agg.leaves += u64::from(out.leaves);
+        agg.churn_skipped += u64::from(out.churn_skipped);
+        if !out.receivers.is_empty() {
+            agg.goodput_sum += out.receivers.iter().map(|r| r.goodput_mbps).sum::<f64>()
+                / out.receivers.len() as f64;
+        }
+        let (mut stale_sum, mut served) = (0.0, 0u32);
+        for f in &out.frames {
+            if let FrameFate::Delivered { completion_us, .. } = f.fate {
+                let staleness = completion_us - f.emitted_us;
+                stale_sum += staleness;
+                served += 1;
+                agg.stale_max = agg.stale_max.max(staleness);
             }
         }
-        agg
+        if served > 0 {
+            agg.stale_sum += stale_sum / f64::from(served);
+        }
     }
 }
 

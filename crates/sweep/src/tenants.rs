@@ -26,13 +26,13 @@
 //! pure arithmetic: no `ln`, whose last-bit rounding varies across libm
 //! implementations and would break byte-identical goldens across hosts);
 //! sharing the underlying uniforms makes the arrival axis common-random-
-//! numbered too. Cells fan out over the worker pool and fold per-topology
-//! partials in index order, so the emitted JSON is byte-identical for
-//! every thread count.
+//! numbered too. Cells run on the shared grid runner, so the emitted JSON is
+//! byte-identical for every thread count.
 
 use crate::engine::Sweep;
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
+use crate::grid::{unravel, Sample};
 use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_netsim::{
@@ -164,26 +164,15 @@ impl TenantReport {
             ("dest_sets", Json::from(self.dest_sets)),
             ("base_seed", Json::from(self.base_seed)),
             ("max_channel_load", Json::from(self.max_channel_load)),
-            (
-                "job_counts",
-                Json::Arr(self.job_counts.iter().map(|&j| Json::from(j)).collect()),
-            ),
+            ("job_counts", Json::from(self.job_counts.as_slice())),
             (
                 "interarrivals_us",
-                Json::Arr(
-                    self.interarrivals_us
-                        .iter()
-                        .map(|&r| Json::from(r))
-                        .collect(),
-                ),
+                Json::from(self.interarrivals_us.as_slice()),
             ),
-            (
-                "groups",
-                Json::Arr(self.groups.iter().map(|&g| Json::from(g)).collect()),
-            ),
+            ("groups", Json::from(self.groups.as_slice())),
             (
                 "policies",
-                Json::Arr(vec![Json::from("fifo"), Json::from("contention-aware")]),
+                Json::from(["fifo", "contention-aware"].as_slice()),
             ),
         ];
         Json::obj(vec![
@@ -319,71 +308,49 @@ impl Sweep {
         groups: &[u32],
         m: u32,
     ) -> Result<TenantReport, SweepError> {
-        let cfg = *self.config();
-        if m == 0 {
-            return Err(SweepError::ZeroPackets);
-        }
+        let err = SweepError::InvalidTenantAxis;
         if job_counts.is_empty() || interarrivals_us.is_empty() || groups.is_empty() {
-            return Err(SweepError::InvalidTenantAxis(
-                "every axis needs at least one value",
-            ));
+            return Err(err("every axis needs at least one value"));
         }
         if job_counts.contains(&0) {
-            return Err(SweepError::InvalidTenantAxis(
-                "job counts must be at least 1",
-            ));
+            return Err(err("job counts must be at least 1"));
         }
-        for &ia in interarrivals_us {
-            if !(ia >= 0.0 && ia.is_finite()) {
-                return Err(SweepError::InvalidTenantAxis(
-                    "mean inter-arrival must be non-negative and finite",
-                ));
-            }
+        if !interarrivals_us
+            .iter()
+            .all(|ia| *ia >= 0.0 && ia.is_finite())
+        {
+            return Err(err("mean inter-arrival must be non-negative and finite"));
         }
-        let hosts = cfg.net().hosts;
         for &g in groups {
             if g == 0 {
-                return Err(SweepError::InvalidTenantAxis(
-                    "groups must have at least one destination",
-                ));
+                return Err(err("groups must have at least one destination"));
             }
-            if g >= hosts {
-                return Err(SweepError::TooManyDests { dests: g, hosts });
-            }
+            self.check_point(g, m)?;
         }
-        let topologies = cfg.topologies() as usize;
-        let (n_rates, n_groups) = (interarrivals_us.len(), groups.len());
-        let cells = job_counts.len() * n_rates * n_groups;
-        let aggs = self.run_cells(cells * topologies, |i| {
-            let cell = i / topologies;
-            let gi = cell % n_groups;
-            let ri = (cell / n_groups) % n_rates;
-            let ji = cell / (n_groups * n_rates);
-            self.tenant_topology(
-                job_counts[ji],
-                interarrivals_us[ri],
-                groups[gi],
-                m,
-                (i % topologies) as u32,
-            )
-        });
-        let cells = aggs
-            .chunks_exact(topologies)
-            .enumerate()
-            .map(|(cell, per_topology)| {
-                let gi = cell % n_groups;
-                let ri = (cell / n_groups) % n_rates;
-                let ji = cell / (n_groups * n_rates);
+        let cfg = *self.config();
+        let dims = [job_counts.len(), interarrivals_us.len(), groups.len()];
+        let axes_of = |cell| {
+            let [j, r, g] = unravel(cell, dims);
+            (job_counts[j], interarrivals_us[r], groups[g])
+        };
+        let cells = self.run_grid(
+            dims.iter().product(),
+            |cell, at, agg| {
+                let (jobs, mean_interarrival_us, group) = axes_of(cell);
+                self.tenant_sample(jobs, mean_interarrival_us, group, m, at, agg);
+            },
+            |cell, per_topology: &[TenantTopoAgg]| {
+                let (jobs, mean_interarrival_us, group) = axes_of(cell);
                 TenantCell {
-                    jobs: job_counts[ji],
-                    mean_interarrival_us: interarrivals_us[ri],
-                    group: groups[gi],
+                    jobs,
+                    mean_interarrival_us,
+                    group,
                     samples: cfg.samples(),
                     fifo: reduce_policy(per_topology.iter().map(|a| &a.fifo).collect()),
                     shaped: reduce_policy(per_topology.iter().map(|a| &a.shaped).collect()),
                 }
-            })
-            .collect();
+            },
+        );
         Ok(TenantReport {
             m,
             topologies: cfg.topologies(),
@@ -397,73 +364,68 @@ impl Sweep {
         })
     }
 
-    /// One cell's samples on topology `t`, evaluated sequentially in
-    /// destination-set order (the fixed floating-point order); each sample's
-    /// job set runs under both policies.
-    fn tenant_topology(
+    /// Folds one sample into its topology's partial: the sample's job set
+    /// runs under both policies.
+    fn tenant_sample(
         &self,
         jobs: u32,
         mean_interarrival_us: f64,
         group: u32,
         m: u32,
-        t: u32,
-    ) -> TenantTopoAgg {
-        let cfg = *self.config();
-        let topo = self.topology(t);
-        let mut agg = TenantTopoAgg::default();
-        for s in 0..cfg.dest_sets() {
-            let salt = cfg.set_seed(t, s);
-            // One rate-independent uniform stream; gaps scale by the mean.
-            let mut gaps =
-                ChaCha8Rng::seed_from_u64(salt.wrapping_mul(0xE703_7ED1_A0B4_28DB).wrapping_add(1));
-            let mut workload = Vec::with_capacity(jobs as usize);
-            let mut arrival = 0.0f64;
-            for j in 0..jobs {
-                if j > 0 {
-                    let u = (gaps.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-                    arrival += u * 2.0 * mean_interarrival_us;
-                }
-                let chain = sample_chain(
-                    &topo.net,
-                    &topo.ordering,
-                    salt.wrapping_mul(0xA076_1D64_78BD_642F)
-                        .wrapping_add(u64::from(j) + 1),
-                    group,
-                );
-                let tree = self.tree(TreePolicy::OptimalKBinomial, chain.len() as u32, m);
-                let mut job = MulticastJob::fpfs(tree, chain, m);
-                job.start_us = arrival;
-                workload.push(job);
+        at: &Sample<'_>,
+        agg: &mut TenantTopoAgg,
+    ) {
+        let cfg = self.config();
+        let (topo, salt) = (at.topo, at.salt);
+        // One rate-independent uniform stream; gaps scale by the mean.
+        let mut gaps =
+            ChaCha8Rng::seed_from_u64(salt.wrapping_mul(0xE703_7ED1_A0B4_28DB).wrapping_add(1));
+        let mut workload = Vec::with_capacity(jobs as usize);
+        let mut arrival = 0.0f64;
+        for j in 0..jobs {
+            if j > 0 {
+                let u = (gaps.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                arrival += u * 2.0 * mean_interarrival_us;
             }
-            for shaped in [false, true] {
-                let policy: &dyn JobScheduler = if shaped {
-                    &ContentionAware {
-                        max_channel_load: 1,
-                    }
-                } else {
-                    &FifoAdmission
-                };
-                let out = ScheduledRun::new(
-                    &topo.net,
-                    &workload,
-                    cfg.params(),
-                    WorkloadConfig::default(),
-                    policy,
-                )
-                .run()
-                .expect("sampled tenant job sets form valid workloads");
-                self.record_effort(
-                    out.outcome.counters.events,
-                    out.outcome.counters.peak_queue_len,
-                );
-                if shaped {
-                    agg.shaped.fold(&out);
-                } else {
-                    agg.fifo.fold(&out);
+            let chain = sample_chain(
+                &topo.net,
+                &topo.ordering,
+                salt.wrapping_mul(0xA076_1D64_78BD_642F)
+                    .wrapping_add(u64::from(j) + 1),
+                group,
+            );
+            let tree = self.tree(TreePolicy::OptimalKBinomial, chain.len() as u32, m);
+            let mut job = MulticastJob::fpfs(tree, chain, m);
+            job.start_us = arrival;
+            workload.push(job);
+        }
+        for shaped in [false, true] {
+            let policy: &dyn JobScheduler = if shaped {
+                &ContentionAware {
+                    max_channel_load: 1,
                 }
+            } else {
+                &FifoAdmission
+            };
+            let out = ScheduledRun::new(
+                &topo.net,
+                &workload,
+                cfg.params(),
+                WorkloadConfig::default(),
+                policy,
+            )
+            .run()
+            .expect("sampled tenant job sets form valid workloads");
+            self.record_effort(
+                out.outcome.counters.events,
+                out.outcome.counters.peak_queue_len,
+            );
+            if shaped {
+                agg.shaped.fold(&out);
+            } else {
+                agg.fifo.fold(&out);
             }
         }
-        agg
     }
 }
 

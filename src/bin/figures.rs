@@ -13,7 +13,6 @@
 
 use optimcast::prelude::*;
 use optimcast::sweep::ToJson;
-use std::io::Write as _;
 use std::time::Instant;
 
 fn main() {
@@ -30,27 +29,15 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--threads" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--threads requires a worker count");
-                    std::process::exit(2);
-                });
-                threads = v.parse().unwrap_or_else(|e| {
-                    eprintln!("--threads: {e}");
-                    std::process::exit(2);
-                });
+                threads = flag_value(&mut it, "--threads")
+                    .parse()
+                    .unwrap_or_else(|e| {
+                        eprintln!("--threads: {e}");
+                        std::process::exit(2);
+                    });
             }
-            "--json" => {
-                json_dir = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a directory argument");
-                    std::process::exit(2);
-                }))
-            }
-            "--gnuplot" => {
-                gnuplot_dir = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--gnuplot requires a directory argument");
-                    std::process::exit(2);
-                }))
-            }
+            "--json" => json_dir = Some(flag_value(&mut it, "--json")),
+            "--gnuplot" => gnuplot_dir = Some(flag_value(&mut it, "--gnuplot")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: figures [--quick] [--threads N] [--json DIR] [--gnuplot DIR] [FIG ...]\n\
@@ -99,135 +86,59 @@ fn main() {
     );
     println!("# network: 64 hosts, 16 switches x 8 ports; CCO ordering; FPFS smart NI\n");
 
-    for fig in figs {
-        let start = Instant::now();
-        let figure = match sweep.figure(fig) {
+    let emit = |name: String, start: Instant, result: Result<Figure, SweepError>| {
+        let figure = match result {
             Ok(figure) => figure,
             Err(e) => {
-                eprintln!("{fig}: {e}, skipping");
-                continue;
+                eprintln!("{name}: {e}, skipping");
+                return;
             }
         };
         print_figure(&figure, start.elapsed().as_secs_f64());
         if let Some(dir) = &json_dir {
             write_json(dir, &figure);
         }
+        // `<fig>.dat` (x then one column per series) and `<fig>.gp` (a
+        // ready-to-run gnuplot script reproducing the paper-style plot).
         if let Some(dir) = &gnuplot_dir {
-            write_gnuplot(dir, &figure);
+            match figure.write_plots(dir) {
+                Ok([dat_path, gp_path]) => println!("   wrote {dat_path} + {gp_path}\n"),
+                Err(e) => eprintln!("{e}"),
+            }
         }
+    };
+    for fig in figs {
+        let start = Instant::now();
+        emit(fig.to_string(), start, sweep.figure(fig));
     }
-
     // The chaos-axis figures (outage window, corruption rate, NI buffer
     // capacity) chart the fault extension on top of the paper's sampling
     // methodology: 31 destinations, 4-packet messages, matching the
     // `optimcast chaos` grid defaults.
     for fig in chaos_figs {
         let start = Instant::now();
-        let figure = match sweep.chaos_figure(fig, 31, 4) {
-            Ok(figure) => figure,
-            Err(e) => {
-                eprintln!("{fig}: {e}, skipping");
-                continue;
-            }
-        };
-        print_figure(&figure, start.elapsed().as_secs_f64());
-        if let Some(dir) = &json_dir {
-            write_json(dir, &figure);
-        }
-        if let Some(dir) = &gnuplot_dir {
-            write_gnuplot(dir, &figure);
-        }
+        emit(fig.to_string(), start, sweep.chaos_figure(fig, 31, 4));
     }
 }
 
-/// Writes `<fig>.dat` (x then one column per series) and `<fig>.gp` (a
-/// ready-to-run gnuplot script reproducing the paper-style plot).
-fn write_gnuplot(dir: &str, fig: &Figure) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {dir}: {e}");
-        return;
-    }
-    let mut xs: Vec<f64> = Vec::new();
-    for s in &fig.series {
-        for &(x, _) in &s.points {
-            if !xs.contains(&x) {
-                xs.push(x);
-            }
-        }
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let dat_path = format!("{dir}/{}.dat", fig.id);
-    let mut dat = String::new();
-    dat.push_str("# x");
-    for s in &fig.series {
-        dat.push_str(&format!("  \"{}\"", s.label));
-    }
-    dat.push('\n');
-    for &x in &xs {
-        dat.push_str(&format!("{x}"));
-        for s in &fig.series {
-            match s.points.iter().find(|&&(px, _)| px == x) {
-                Some(&(_, y)) => dat.push_str(&format!(" {y}")),
-                None => dat.push_str(" ?"),
-            }
-        }
-        dat.push('\n');
-    }
-    if let Err(e) = std::fs::write(&dat_path, dat) {
-        eprintln!("cannot write {dat_path}: {e}");
-        return;
-    }
-    let gp_path = format!("{dir}/{}.gp", fig.id);
-    let mut gp = String::new();
-    gp.push_str(&format!(
-        "set title \"{}\"\nset xlabel \"{}\"\nset ylabel \"{}\"\nset key left top\nset grid\n",
-        fig.title, fig.x_label, fig.y_label
-    ));
-    gp.push_str(&format!(
-        "set terminal pngcairo size 800,600\nset output \"{}.png\"\nset datafile missing \"?\"\nplot ",
-        fig.id
-    ));
-    let plots: Vec<String> = fig
-        .series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            format!(
-                "\"{}.dat\" using 1:{} with linespoints title \"{}\"",
-                fig.id,
-                i + 2,
-                s.label
-            )
-        })
-        .collect();
-    gp.push_str(&plots.join(", \\\n     "));
-    gp.push('\n');
-    if let Err(e) = std::fs::write(&gp_path, gp) {
-        eprintln!("cannot write {gp_path}: {e}");
-    } else {
-        println!("   wrote {dat_path} + {gp_path}\n");
-    }
+/// The value after `flag`; a missing one ends the run with exit status 2.
+fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next().unwrap_or_else(|| {
+        eprintln!("{flag} requires a value");
+        std::process::exit(2);
+    })
 }
 
 /// Prints a figure as an aligned table: one row per x value, one column per
 /// series (the paper's gnuplot-style series).
 fn print_figure(fig: &Figure, elapsed: f64) {
     println!("## {} — {}   [{elapsed:.2}s]", fig.id, fig.title);
-    // Collect the x axis (union of all series' x values, in first-series order).
-    let mut xs: Vec<f64> = Vec::new();
-    for s in &fig.series {
-        for &(x, _) in &s.points {
-            if !xs.contains(&x) {
-                xs.push(x);
-            }
-        }
-    }
     print!("{:>24}", fig.x_label);
     for s in &fig.series {
         print!("{:>16}", s.label);
     }
     println!();
-    for &x in &xs {
+    for x in fig.x_values() {
         // Fractional axes (e.g. corruption rate) keep two decimals;
         // integral axes (packets, dests) stay as before.
         if x.fract() == 0.0 {
@@ -247,20 +158,11 @@ fn print_figure(fig: &Figure, elapsed: f64) {
 }
 
 fn write_json(dir: &str, fig: &Figure) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {dir}: {e}");
-        return;
-    }
     let path = format!("{dir}/{}.json", fig.id);
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let body = fig.to_json().to_string_pretty();
-            if let Err(e) = f.write_all(body.as_bytes()) {
-                eprintln!("cannot write {path}: {e}");
-            } else {
-                println!("   wrote {path}\n");
-            }
-        }
-        Err(e) => eprintln!("cannot create {path}: {e}"),
+    match std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, fig.to_json().to_string_pretty()))
+    {
+        Ok(()) => println!("   wrote {path}\n"),
+        Err(e) => eprintln!("cannot write {path}: {e}"),
     }
 }

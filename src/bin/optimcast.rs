@@ -1,39 +1,13 @@
 //! `optimcast` — command-line front end to the library.
 //!
-//! ```text
-//! optimcast topo     [--switches S] [--ports P] [--hosts H] [--seed N] [--dot]
-//! optimcast route    [--seed N] <FROM> <TO>
-//! optimcast tree     --n N [--k K | --m M] [--render] [--dot] [--diagram]
-//! optimcast optimal  --n N --m M            # Theorem-3 optimal k
-//! optimcast table    --max-n N --max-m M    # the §4.3.1 lookup table
-//! optimcast simulate [--seed N] [--dests D] [--m M] [--nic conv|fcfs|fpfs]
-//!                    [--ordering cco|poc|random] [--ideal] [--trace] [--json]
-//!                    [--drop-rate R] [--corrupt-rate R] [--crashes C]
-//!                    [--crash-at US] [--live-repair] [--fault-seed N]
-//!                    [--window W] [--send-units S] [--deadline US]
-//! optimcast bench-sweep [--threads N] [--smoke] [--out PATH]
-//! optimcast bench-sim [--quick] [--out PATH]
-//!                     [--mega [--hosts N] [--digest PATH] [--plots DIR]]
-//! optimcast bench-compare [--sim PATH] [--sweep PATH] [--mega PATH]
-//!                     [--threshold F] [--threads N]
-//! optimcast chaos    [--quick] [--seed N] [--threads N] [--dests D] [--m M]
-//!                    [--live-repair] [--crash-at US] [--out PATH]
-//!                    [--arq] [--window W] [--send-units S] [--plots DIR]
-//! optimcast jobs     [--quick] [--seed N] [--threads N] [--m M] [--json]
-//!                    [--out PATH] [--plots DIR]
-//! optimcast stream   [--quick] [--seed N] [--threads N] [--dests D]
-//!                    [--frame-bytes B] [--mtu B] [--frames F]
-//!                    [--out PATH] [--plots DIR]
-//! optimcast wire     [--role demo|source|sink] --n N [--k K] [--m M]
-//!                    [--rank R] [--port-base P] [--payload B] [--mtu M]
-//!                    [--timeout-ms T]
-//! ```
+//! Run `optimcast help` for the subcommands and their flags. The usage
+//! text, each subcommand's accepted flags, and the dispatch all come from
+//! the one [`COMMANDS`] table.
 
 use optimcast::core::schedule::ForwardingDiscipline;
 use optimcast::jsonout::{Json, ToJson};
 use optimcast::netsim::{
-    JobPayload, MulticastJob, NiModel, SimRun, TraceKind, Transport, WorkloadConfig,
-    WorkloadOutcome,
+    MulticastJob, NiModel, SimRun, TraceKind, Transport, WorkloadConfig, WorkloadOutcome,
 };
 use optimcast::prelude::*;
 use optimcast::sweep::{bench_mega, bench_regressions, bench_sim, bench_sweep};
@@ -42,6 +16,7 @@ use optimcast::transport_udp::{
     loopback_demo, run_sink, run_source, UdpTransport, WirePlan, DEFAULT_MTU, HEADER_LEN,
 };
 use std::collections::HashMap;
+use std::fmt;
 
 /// Every allocation in the CLI is counted so `bench-sim` can report
 /// allocations-per-event; two relaxed atomic adds per allocation are noise
@@ -49,154 +24,165 @@ use std::collections::HashMap;
 #[global_allocator]
 static ALLOC: optimcast::netsim::CountingAlloc = optimcast::netsim::CountingAlloc::new();
 
+type Flags = HashMap<String, String>;
+
+/// A failed subcommand: what went wrong, and the exit status — 2 for a
+/// bad command line (an unknown flag, or a flag or argument that does not
+/// parse or is out of range), 1 for a well-formed command whose run failed.
+struct CliError {
+    code: i32,
+    msg: String,
+}
+
+fn usage(msg: impl fmt::Display) -> CliError {
+    CliError {
+        code: 2,
+        msg: msg.to_string(),
+    }
+}
+
+fn runtime(msg: impl fmt::Display) -> CliError {
+    CliError {
+        code: 1,
+        msg: msg.to_string(),
+    }
+}
+
+type CmdResult = Result<(), CliError>;
+
+/// One subcommand. Its usage text doubles as its flag whitelist: the
+/// command accepts exactly the `--name` tokens the text mentions.
+struct Command {
+    name: &'static str,
+    usage: &'static str,
+    run: fn(&Flags, &[String]) -> CmdResult,
+}
+
+impl Command {
+    fn accepts(&self, flag: &str) -> bool {
+        self.usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .any(|token| token.strip_prefix("--") == Some(flag))
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "topo",
+        usage: "[--switches S] [--ports P] [--hosts H] [--seed N] [--dot]",
+        run: cmd_topo,
+    },
+    Command {
+        name: "route",
+        usage: "[--switches S] [--ports P] [--hosts H] [--seed N] <FROM> <TO>",
+        run: cmd_route,
+    },
+    Command {
+        name: "tree",
+        usage: "--n N [--k K] [--m M] [--render] [--dot] [--diagram]",
+        run: cmd_tree,
+    },
+    Command {
+        name: "optimal",
+        usage: "--n N --m M",
+        run: cmd_optimal,
+    },
+    Command {
+        name: "table",
+        usage: "[--max-n N] [--max-m M]",
+        run: cmd_table,
+    },
+    Command {
+        name: "simulate",
+        usage: "[--switches S] [--ports P] [--hosts H] [--seed N] [--dests D] [--m M]\n\
+                [--nic conv|fcfs|fpfs] [--ordering cco|poc|random] [--ideal] [--trace]\n\
+                [--json] [--drop-rate R] [--corrupt-rate R] [--crashes C] [--crash-at US]\n\
+                [--live-repair] [--fault-seed N] [--window W] [--send-units S]\n\
+                [--deadline US]",
+        run: cmd_simulate,
+    },
+    Command {
+        name: "bench-sweep",
+        usage: "[--threads N] [--smoke] [--out PATH]",
+        run: cmd_bench_sweep,
+    },
+    Command {
+        name: "bench-sim",
+        usage: "[--quick] [--out PATH] [--mega [--hosts N] [--digest PATH] [--plots DIR]]",
+        run: cmd_bench_sim,
+    },
+    Command {
+        name: "bench-compare",
+        usage: "[--sim PATH] [--sweep PATH] [--mega PATH] [--threshold F] [--threads N]",
+        run: cmd_bench_compare,
+    },
+    Command {
+        name: "chaos",
+        usage: "[--quick] [--seed N] [--threads N] [--dests D] [--m M] [--live-repair]\n\
+                [--crash-at US] [--out PATH] [--arq] [--window W] [--send-units S]\n\
+                [--plots DIR]",
+        run: cmd_chaos,
+    },
+    Command {
+        name: "jobs",
+        usage: "[--quick] [--seed N] [--threads N] [--m M] [--json] [--out PATH] [--plots DIR]",
+        run: cmd_jobs,
+    },
+    Command {
+        name: "stream",
+        usage: "[--quick] [--seed N] [--threads N] [--dests D] [--frame-bytes B] [--mtu B]\n\
+                [--frames F] [--out PATH] [--plots DIR]",
+        run: cmd_stream,
+    },
+    Command {
+        name: "wire",
+        usage: "[--role demo|source|sink] --n N [--k K] [--m M] [--rank R] [--port-base P]\n\
+                [--payload B] [--mtu M] [--timeout-ms T]",
+        run: cmd_wire,
+    },
+];
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
+    let mut args = std::env::args().skip(1);
+    let Some(name) = args.next() else {
+        print_usage();
+        return;
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print_usage();
         return;
     }
-    let cmd = args.remove(0);
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("unknown command '{name}'");
+        print_usage();
+        std::process::exit(2);
+    };
     let (flags, positional) = parse_flags(args);
-    if let Some(known) = known_flags(&cmd) {
-        if let Some(bad) = flags.keys().filter(|f| !known.contains(&f.as_str())).min() {
-            eprintln!("{cmd}: unknown flag --{bad}");
-            std::process::exit(2);
-        }
+    let result = match flags.keys().filter(|f| !cmd.accepts(f)).min() {
+        Some(bad) => Err(usage(format!("unknown flag --{bad}"))),
+        None => (cmd.run)(&flags, &positional),
+    };
+    if let Err(e) = result {
+        eprintln!("{name}: {}", e.msg);
+        std::process::exit(e.code);
     }
-    match cmd.as_str() {
-        "topo" => cmd_topo(&flags),
-        "route" => cmd_route(&flags, &positional),
-        "tree" => cmd_tree(&flags),
-        "optimal" => cmd_optimal(&flags),
-        "table" => cmd_table(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "bench-sweep" => cmd_bench_sweep(&flags),
-        "bench-sim" => cmd_bench_sim(&flags),
-        "bench-compare" => cmd_bench_compare(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "jobs" => cmd_jobs(&flags),
-        "stream" => cmd_stream(&flags),
-        "wire" => cmd_wire(&flags),
-        "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!("unknown command '{other}'");
-            usage();
-            std::process::exit(2);
+}
+
+fn print_usage() {
+    eprintln!("optimcast — k-binomial multicast toolkit (Kesavan & Panda, ICPP 1997)\ncommands:");
+    for cmd in COMMANDS {
+        let mut lines = cmd.usage.lines();
+        eprintln!("   {:<8} {}", cmd.name, lines.next().unwrap_or_default());
+        for line in lines {
+            eprintln!("{:12}{line}", "");
         }
     }
 }
 
-fn usage() {
-    eprintln!(
-        "optimcast — k-binomial multicast toolkit (Kesavan & Panda, ICPP 1997)\n\
-         commands:\n\
-         \u{20}  topo     [--switches S] [--ports P] [--hosts H] [--seed N]\n\
-         \u{20}  route    [--seed N] <FROM> <TO>\n\
-         \u{20}  tree     --n N [--k K | --m M] [--render]\n\
-         \u{20}  optimal  --n N --m M\n\
-         \u{20}  table    [--max-n N] [--max-m M]\n\
-         \u{20}  simulate [--seed N] [--dests D] [--m M] [--nic conv|fcfs|fpfs]\n\
-         \u{20}           [--ordering cco|poc|random] [--ideal] [--trace] [--json]\n\
-         \u{20}           [--drop-rate R] [--corrupt-rate R] [--crashes C]\n\
-         \u{20}           [--crash-at US] [--live-repair] [--fault-seed N]\n\
-         \u{20}           [--window W] [--send-units S] [--deadline US]\n\
-         \u{20}  bench-sweep [--threads N] [--smoke] [--out PATH]\n\
-         \u{20}  bench-sim [--quick] [--out PATH] [--mega [--hosts N] [--digest PATH]\n\
-         \u{20}           [--plots DIR]]\n\
-         \u{20}  bench-compare [--sim PATH] [--sweep PATH] [--mega PATH]\n\
-         \u{20}           [--threshold F] [--threads N]\n\
-         \u{20}  chaos    [--quick] [--seed N] [--threads N] [--dests D] [--m M]\n\
-         \u{20}           [--live-repair] [--crash-at US] [--out PATH]\n\
-         \u{20}           [--arq] [--window W] [--send-units S] [--plots DIR]\n\
-         \u{20}  jobs     [--quick] [--seed N] [--threads N] [--m M] [--json] [--out PATH]\n\
-         \u{20}           [--plots DIR]\n\
-         \u{20}  stream   [--quick] [--seed N] [--threads N] [--dests D] [--frame-bytes B]\n\
-         \u{20}           [--mtu B] [--frames F] [--out PATH] [--plots DIR]\n\
-         \u{20}  wire     [--role demo|source|sink] --n N [--k K] [--m M] [--rank R]\n\
-         \u{20}           [--port-base P] [--payload B] [--mtu M] [--timeout-ms T]"
-    );
-}
-
-/// The flags each subcommand reads (`None` for names that are not
-/// subcommands). Anything else on the command line is a typo or a removed
-/// option, and is rejected rather than silently ignored.
-fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
-    Some(match cmd {
-        "topo" => &["switches", "ports", "hosts", "seed", "dot"],
-        "route" => &["switches", "ports", "hosts", "seed"],
-        "tree" => &["n", "k", "m", "render", "dot", "diagram"],
-        "optimal" => &["n", "m"],
-        "table" => &["max-n", "max-m"],
-        "simulate" => &[
-            "switches",
-            "ports",
-            "hosts",
-            "seed",
-            "dests",
-            "m",
-            "nic",
-            "ordering",
-            "ideal",
-            "trace",
-            "json",
-            "drop-rate",
-            "corrupt-rate",
-            "crashes",
-            "crash-at",
-            "live-repair",
-            "fault-seed",
-            "window",
-            "send-units",
-            "deadline",
-        ],
-        "bench-sweep" => &["threads", "smoke", "out"],
-        "bench-sim" => &["quick", "out", "mega", "hosts", "digest", "plots"],
-        "bench-compare" => &["sim", "sweep", "mega", "threshold", "threads"],
-        "chaos" => &[
-            "quick",
-            "seed",
-            "threads",
-            "dests",
-            "m",
-            "live-repair",
-            "crash-at",
-            "out",
-            "arq",
-            "window",
-            "send-units",
-            "plots",
-        ],
-        "jobs" => &["quick", "seed", "threads", "m", "json", "out", "plots"],
-        "stream" => &[
-            "quick",
-            "seed",
-            "threads",
-            "dests",
-            "frame-bytes",
-            "mtu",
-            "frames",
-            "out",
-            "plots",
-        ],
-        "wire" => &[
-            "role",
-            "n",
-            "k",
-            "m",
-            "rank",
-            "port-base",
-            "payload",
-            "mtu",
-            "timeout-ms",
-        ],
-        _ => return None,
-    })
-}
-
-fn parse_flags(args: Vec<String>) -> (HashMap<String, String>, Vec<String>) {
+fn parse_flags(args: impl Iterator<Item = String>) -> (Flags, Vec<String>) {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
-    let mut it = args.into_iter().peekable();
+    let mut it = args.peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             let value = match it.peek() {
@@ -211,34 +197,65 @@ fn parse_flags(args: Vec<String>) -> (HashMap<String, String>, Vec<String>) {
     (flags, positional)
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T
+fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, CliError>
 where
-    T::Err: std::fmt::Display,
+    T::Err: fmt::Display,
 {
     match flags.get(name) {
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("--{name}: {e}");
-            std::process::exit(2);
-        }),
-        None => default,
+        Some(v) => v.parse().map_err(|e| usage(format!("--{name}: {e}"))),
+        None => Ok(default),
     }
 }
 
-fn build_net(flags: &HashMap<String, String>) -> IrregularNetwork {
-    let cfg = IrregularConfig {
-        switches: get(flags, "switches", 16),
-        ports: get(flags, "ports", 8),
-        hosts: get(flags, "hosts", 64),
-    };
-    IrregularNetwork::generate(cfg, get(flags, "seed", 0u64))
+/// [`get`], rejecting values below `min`.
+fn get_at_least<T>(flags: &Flags, name: &str, default: T, min: T) -> Result<T, CliError>
+where
+    T: std::str::FromStr + PartialOrd + fmt::Display,
+    T::Err: fmt::Display,
+{
+    let value = get(flags, name, default)?;
+    if value < min {
+        return Err(usage(format!("--{name} must be at least {min}")));
+    }
+    Ok(value)
 }
 
-fn cmd_topo(flags: &HashMap<String, String>) {
-    let net = build_net(flags);
+fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+fn write_file(path: &str, body: String) -> CmdResult {
+    std::fs::write(path, body).map_err(|e| runtime(format!("cannot write {path}: {e}")))
+}
+
+/// Writes `fig` as gnuplot `.dat`/`.gp` files under `--plots` (default
+/// `plots/`).
+fn write_plots(flags: &Flags, fig: &Figure) -> CmdResult {
+    let dir = flags.get("plots").map_or("plots", String::as_str);
+    let [dat, gp] = fig.write_plots(dir).map_err(runtime)?;
+    println!("plots written to {dat} and {gp}");
+    Ok(())
+}
+
+fn build_net(flags: &Flags) -> Result<IrregularNetwork, CliError> {
+    let cfg = IrregularConfig {
+        switches: get(flags, "switches", 16)?,
+        ports: get(flags, "ports", 8)?,
+        hosts: get(flags, "hosts", 64)?,
+    };
+    cfg.validate()
+        .map_err(|e| usage(format!("--switches/--ports/--hosts: {e}")))?;
+    Ok(IrregularNetwork::generate(cfg, get(flags, "seed", 0u64)?))
+}
+
+fn cmd_topo(flags: &Flags, _: &[String]) -> CmdResult {
+    let net = build_net(flags)?;
     let t = net.topology();
     if flags.contains_key("dot") {
         print!("{}", t.to_dot());
-        return;
+        return Ok(());
     }
     println!("{}", net.describe());
     println!(
@@ -261,16 +278,23 @@ fn cmd_topo(flags: &HashMap<String, String>) {
             nbrs.join(", ")
         );
     }
+    Ok(())
 }
 
-fn cmd_route(flags: &HashMap<String, String>, positional: &[String]) {
-    if positional.len() != 2 {
-        eprintln!("route needs <FROM> <TO>");
-        std::process::exit(2);
-    }
-    let net = build_net(flags);
-    let from = HostId(positional[0].parse().expect("FROM must be a host id"));
-    let to = HostId(positional[1].parse().expect("TO must be a host id"));
+fn cmd_route(flags: &Flags, positional: &[String]) -> CmdResult {
+    let [from, to] = positional else {
+        return Err(usage("needs <FROM> <TO>"));
+    };
+    let net = build_net(flags)?;
+    let hosts = net.num_hosts();
+    let host = |arg: &str, what: &str| match arg.parse::<u32>() {
+        Ok(id) if id < hosts => Ok(HostId(id)),
+        Ok(id) => Err(usage(format!(
+            "{what} host {id} is out of range: the network has {hosts} hosts"
+        ))),
+        Err(e) => Err(usage(format!("{what} '{arg}': {e}"))),
+    };
+    let (from, to) = (host(from, "FROM")?, host(to, "TO")?);
     let route = net.route(from, to);
     println!("{from} -> {to}: {} channels", route.len());
     let t = net.topology();
@@ -278,24 +302,23 @@ fn cmd_route(flags: &HashMap<String, String>, positional: &[String]) {
         let (a, b) = t.channel_endpoints(c);
         println!("  {a} -> {b}");
     }
+    Ok(())
 }
 
-fn cmd_tree(flags: &HashMap<String, String>) {
-    let n: u32 = get(flags, "n", 16);
-    let k = match flags.get("k") {
-        Some(v) => v.parse().expect("--k must be a number"),
-        None => {
-            let m: u32 = get(flags, "m", 1);
-            let opt = optimal_k(u64::from(n), m);
-            println!(
-                "optimal k for n={n}, m={m}: {} ({} steps)",
-                opt.k, opt.steps
-            );
-            opt.k
-        }
+fn cmd_tree(flags: &Flags, _: &[String]) -> CmdResult {
+    let n: u32 = get_at_least(flags, "n", 16, 1)?;
+    let m: u32 = get_at_least(flags, "m", 1, 1)?;
+    let k = if flags.contains_key("k") {
+        get_at_least(flags, "k", 1, 1)?
+    } else {
+        let opt = optimal_k(u64::from(n), m);
+        println!(
+            "optimal k for n={n}, m={m}: {} ({} steps)",
+            opt.k, opt.steps
+        );
+        opt.k
     };
     let tree = kbinomial_tree(n, k);
-    let m: u32 = get(flags, "m", 1);
     let sched = fpfs_schedule(&tree, m);
     println!(
         "{k}-binomial tree over {n}: depth {}, root degree {}, {m}-packet FPFS completes in {} steps",
@@ -312,11 +335,12 @@ fn cmd_tree(flags: &HashMap<String, String>) {
     if flags.contains_key("diagram") {
         print!("{}", sched.step_diagram(&tree));
     }
+    Ok(())
 }
 
-fn cmd_optimal(flags: &HashMap<String, String>) {
-    let n: u64 = get(flags, "n", 64);
-    let m: u32 = get(flags, "m", 8);
+fn cmd_optimal(flags: &Flags, _: &[String]) -> CmdResult {
+    let n: u64 = get_at_least(flags, "n", 64, 1)?;
+    let m: u32 = get_at_least(flags, "m", 8, 1)?;
     let opt = optimal_k(n, m);
     println!("n={n} m={m}: optimal k = {}, {} steps", opt.k, opt.steps);
     let p = SystemParams::paper_1997();
@@ -324,11 +348,12 @@ fn cmd_optimal(flags: &HashMap<String, String>) {
         "contention-free latency: {:.2} us (t_s + steps*t_step + t_r)",
         p.t_s + opt.steps as f64 * p.t_step() + p.t_r
     );
+    Ok(())
 }
 
-fn cmd_table(flags: &HashMap<String, String>) {
-    let max_n: u64 = get(flags, "max-n", 64);
-    let max_m: u32 = get(flags, "max-m", 16);
+fn cmd_table(flags: &Flags, _: &[String]) -> CmdResult {
+    let max_n: u64 = get_at_least(flags, "max-n", 64, 2)?;
+    let max_m: u32 = get_at_least(flags, "max-m", 16, 1)?;
     let table = OptimalKTable::build(max_n, max_m);
     println!(
         "optimal-k table, n in 2..={max_n} (rows), m in 1..={max_m} (cols), {} bytes:",
@@ -346,42 +371,34 @@ fn cmd_table(flags: &HashMap<String, String>) {
         }
         println!();
     }
+    Ok(())
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) {
-    let net = build_net(flags);
-    let dests: u32 = get(flags, "dests", 31);
-    let m: u32 = get(flags, "m", 8);
+fn cmd_simulate(flags: &Flags, _: &[String]) -> CmdResult {
+    let net = build_net(flags)?;
+    let dests: u32 = get(flags, "dests", 31)?;
+    let m: u32 = get_at_least(flags, "m", 8, 1)?;
     let n_hosts = net.num_hosts();
     if dests >= n_hosts {
-        eprintln!(
-            "simulate: --dests {dests} requires at least {} hosts, but the network has {n_hosts} \
+        return Err(usage(format!(
+            "--dests {dests} requires at least {} hosts, but the network has {n_hosts} \
              (raise --hosts/--switches)",
             dests + 1
-        );
-        std::process::exit(1);
-    }
-    if m == 0 {
-        eprintln!("simulate: --m must be at least 1 packet");
-        std::process::exit(1);
+        )));
     }
     let ordering = match flags.get("ordering").map(String::as_str) {
         None | Some("cco") => cco(&net),
         Some("poc") => poc(&net),
-        Some("random") => Ordering::random(net.num_hosts(), get(flags, "seed", 0u64) + 1),
-        Some(o) => {
-            eprintln!("unknown ordering '{o}'");
-            std::process::exit(2);
+        Some("random") => {
+            Ordering::random(net.num_hosts(), get(flags, "seed", 0u64)?.wrapping_add(1))
         }
+        Some(o) => return Err(usage(format!("unknown ordering '{o}'"))),
     };
     let nic = match flags.get("nic").map(String::as_str) {
         None | Some("fpfs") => NicKind::Smart(ForwardingDiscipline::Fpfs),
         Some("fcfs") => NicKind::Smart(ForwardingDiscipline::Fcfs),
         Some("conv") => NicKind::Conventional,
-        Some(o) => {
-            eprintln!("unknown nic '{o}'");
-            std::process::exit(2);
-        }
+        Some(o) => return Err(usage(format!("unknown nic '{o}'"))),
     };
     let contention = if flags.contains_key("ideal") {
         ContentionMode::Ideal
@@ -395,39 +412,35 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
     let opt = optimal_k(u64::from(n), m);
     let tree = kbinomial_tree(n, opt.k);
     let live_repair = flags.contains_key("live-repair");
-    let crash_count: u32 = get(flags, "crashes", 0);
-    let window: u32 = get(flags, "window", 1);
-    let send_units: u32 = get(flags, "send-units", 1);
-    let deadline_us: Option<f64> = flags
-        .contains_key("deadline")
-        .then(|| get(flags, "deadline", 0.0));
+    let send_units: u32 = get(flags, "send-units", 1)?;
+    let deadline_us: Option<f64> = if flags.contains_key("deadline") {
+        Some(get(flags, "deadline", 0.0)?)
+    } else {
+        None
+    };
     let spec = FaultPlanSpec {
-        seed: get(flags, "fault-seed", 1997u64),
-        drop_rate: get(flags, "drop-rate", 0.0),
-        corrupt_rate: get(flags, "corrupt-rate", 0.0),
-        crashes: crash_count,
-        crash_at_us: get(flags, "crash-at", if live_repair { 5.0 } else { 0.0 }),
+        seed: get(flags, "fault-seed", 1997u64)?,
+        drop_rate: get(flags, "drop-rate", 0.0)?,
+        corrupt_rate: get(flags, "corrupt-rate", 0.0)?,
+        crashes: get(flags, "crashes", 0)?,
+        crash_at_us: get(flags, "crash-at", if live_repair { 5.0 } else { 0.0 })?,
         live_repair,
-        window,
+        window: get(flags, "window", 1)?,
         deadline_us,
         send_units,
         ..FaultPlanSpec::default()
     };
-    if crash_count as usize >= chain.len() {
-        eprintln!(
-            "simulate: --crashes {crash_count} must leave at least the source and one \
+    if spec.crashes as usize >= chain.len() {
+        return Err(usage(format!(
+            "--crashes {} must leave at least the source and one \
              destination out of {} participants",
+            spec.crashes,
             chain.len()
-        );
-        std::process::exit(1);
+        )));
     }
     let jobs = [MulticastJob {
-        tree: tree.into(),
-        binding: chain.clone(),
-        packets: m,
-        start_us: 0.0,
         nic,
-        payload: JobPayload::Replicated,
+        ..MulticastJob::fpfs(tree, chain.clone(), m)
     }];
     let config = WorkloadConfig {
         contention,
@@ -444,7 +457,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
         let crashes: Vec<HostCrash> = chain
             .iter()
             .rev()
-            .take(crash_count as usize)
+            .take(spec.crashes as usize)
             .map(|&host| HostCrash {
                 host,
                 at_us: spec.crash_at_us,
@@ -456,10 +469,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
     } else {
         SimRun::new(&net, &jobs, &params, config).run()
     }
-    .unwrap_or_else(|e| {
-        eprintln!("simulate: {e}");
-        std::process::exit(1);
-    });
+    .map_err(runtime)?;
     let out = &wl.jobs[0];
     let c = &wl.counters;
     if flags.contains_key("json") {
@@ -467,7 +477,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
             "{}",
             simulate_json(&wl, opt.k, opt.steps).to_string_pretty()
         );
-        return;
+        return Ok(());
     }
     println!("{}", net.describe());
     println!(
@@ -544,103 +554,76 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
     if flags.contains_key("trace") {
         println!("timeline ({} records):", wl.trace.len());
         for r in &wl.trace {
-            match r.kind {
-                TraceKind::SendStart {
-                    from,
-                    to,
-                    packet,
-                    stalled_us,
-                } => {
-                    print!("  {:9.2} us  send  {from} -> {to}  pkt {packet}", r.t_us);
-                    if stalled_us > 0.0 {
-                        print!("  (stalled {stalled_us:.1} us)");
-                    }
-                    println!();
-                }
-                TraceKind::RecvDone { at, packet } => {
-                    println!("  {:9.2} us  recv  {at}  pkt {packet}", r.t_us);
-                }
-                TraceKind::HostDone { rank } => {
-                    println!("  {:9.2} us  done  {rank}", r.t_us);
-                }
-                TraceKind::Dropped {
-                    from,
-                    to,
-                    packet,
-                    kind,
-                } => {
-                    println!(
-                        "  {:9.2} us  drop  {from} -> {to}  pkt {packet}  ({kind:?})",
-                        r.t_us
-                    );
-                }
-                TraceKind::Retransmit {
-                    from,
-                    to,
-                    packet,
-                    attempt,
-                } => {
-                    println!(
-                        "  {:9.2} us  retry {from} -> {to}  pkt {packet}  attempt {attempt}",
-                        r.t_us
-                    );
-                }
-                TraceKind::Abandoned {
-                    from,
-                    to,
-                    packet,
-                    attempts,
-                } => {
-                    println!(
-                        "  {:9.2} us  abandon {from} -> {to}  pkt {packet}  after {attempts} attempts",
-                        r.t_us
-                    );
-                }
-                TraceKind::RepairTriggered {
-                    epoch,
-                    failed,
-                    reattached,
-                } => {
-                    println!(
-                        "  {:9.2} us  repair epoch {epoch}  ({failed} failed, {reattached} reattached)",
-                        r.t_us
-                    );
-                }
-                TraceKind::Reissued { to, packet } => {
-                    println!("  {:9.2} us  reissue -> {to}  pkt {packet}", r.t_us);
-                }
-            }
+            println!("  {:9.2} us  {}", r.t_us, trace_event(&r.kind));
         }
+    }
+    Ok(())
+}
+
+/// One `--trace` timeline entry, after its timestamp.
+fn trace_event(kind: &TraceKind) -> String {
+    use TraceKind::*;
+    match *kind {
+        SendStart {
+            from,
+            to,
+            packet,
+            stalled_us,
+        } if stalled_us > 0.0 => {
+            format!("send  {from} -> {to}  pkt {packet}  (stalled {stalled_us:.1} us)")
+        }
+        SendStart {
+            from, to, packet, ..
+        } => format!("send  {from} -> {to}  pkt {packet}"),
+        RecvDone { at, packet } => format!("recv  {at}  pkt {packet}"),
+        HostDone { rank } => format!("done  {rank}"),
+        Dropped {
+            from,
+            to,
+            packet,
+            kind,
+        } => {
+            format!("drop  {from} -> {to}  pkt {packet}  ({kind:?})")
+        }
+        Retransmit {
+            from,
+            to,
+            packet,
+            attempt,
+        } => {
+            format!("retry {from} -> {to}  pkt {packet}  attempt {attempt}")
+        }
+        Abandoned {
+            from,
+            to,
+            packet,
+            attempts,
+        } => {
+            format!("abandon {from} -> {to}  pkt {packet}  after {attempts} attempts")
+        }
+        RepairTriggered {
+            epoch,
+            failed,
+            reattached,
+        } => {
+            format!("repair epoch {epoch}  ({failed} failed, {reattached} reattached)")
+        }
+        Reissued { to, packet } => format!("reissue -> {to}  pkt {packet}"),
     }
 }
 
-fn cmd_bench_sweep(flags: &HashMap<String, String>) {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
+fn cmd_bench_sweep(flags: &Flags, _: &[String]) -> CmdResult {
+    let threads: usize = get(flags, "threads", default_threads())?;
     let smoke = flags.contains_key("smoke");
-    let base = if smoke {
-        SweepBuilder::quick()
+    let (base, label) = if smoke {
+        (SweepBuilder::quick(), "smoke (2×3)")
     } else {
-        SweepBuilder::paper()
-    };
-    let label = if smoke {
-        "smoke (2×3)"
-    } else {
-        "paper (10×30)"
+        (SweepBuilder::paper(), "paper (10×30)")
     };
     eprintln!("bench-sweep: {label} methodology, serial vs {threads} worker(s)...");
-    let report = bench_sweep(&base, threads).unwrap_or_else(|e| {
-        eprintln!("bench-sweep: {e}");
-        std::process::exit(1);
-    });
-    let default_out = "BENCH_sweep.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("bench-sweep: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    let report = bench_sweep(&base, threads).map_err(runtime)?;
+    let out_path = flags.get("out").map_or("BENCH_sweep.json", String::as_str);
+    write_file(out_path, report.to_json().to_string_pretty())?;
     println!(
         "cells: {} | serial {:.3} s ({:.1} cells/s) | {} workers {:.3} s ({:.1} cells/s) | speedup {:.2}x",
         report.cells,
@@ -668,27 +651,25 @@ fn cmd_bench_sweep(flags: &HashMap<String, String>) {
     );
     println!("report written to {out_path}");
     if !report.identical {
-        eprintln!("bench-sweep: DETERMINISM VIOLATION — parallel figures diverged from serial");
-        std::process::exit(1);
+        return Err(runtime(
+            "DETERMINISM VIOLATION — parallel figures diverged from serial",
+        ));
     }
+    Ok(())
 }
 
 /// The `bench-sim` subcommand: simulator-core throughput (event-queue
 /// churn, `run_multicast` events/sec, allocations-per-event via the
 /// counting global allocator registered above), written as
 /// `BENCH_sim.json`.
-fn cmd_bench_sim(flags: &HashMap<String, String>) {
+fn cmd_bench_sim(flags: &Flags, _: &[String]) -> CmdResult {
     if flags.contains_key("mega") {
-        cmd_bench_mega(flags);
-        return;
+        return cmd_bench_mega(flags);
     }
     let quick = flags.contains_key("quick");
     let label = if quick { "quick" } else { "full" };
     eprintln!("bench-sim: {label} sizing...");
-    let report = bench_sim(quick).unwrap_or_else(|e| {
-        eprintln!("bench-sim: {e}");
-        std::process::exit(1);
-    });
+    let report = bench_sim(quick).map_err(runtime)?;
     println!(
         "event queue: {:.2} M schedule+pop pairs/s ({} ops)",
         report.queue_ops_per_sec / 1e6,
@@ -712,13 +693,10 @@ fn cmd_bench_sim(flags: &HashMap<String, String>) {
     } else {
         println!("allocations: not measured (no counting allocator registered)");
     }
-    let default_out = "BENCH_sim.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("bench-sim: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    let out_path = flags.get("out").map_or("BENCH_sim.json", String::as_str);
+    write_file(out_path, report.to_json().to_string_pretty())?;
     println!("report written to {out_path}");
+    Ok(())
 }
 
 /// The `bench-sim --mega` variant: one end-to-end optimal-k multicast
@@ -727,17 +705,16 @@ fn cmd_bench_sim(flags: &HashMap<String, String>) {
 /// `BENCH_mega.json` plus, on the full sizing, the committed
 /// `results/fig_megascale.json` figure and its plot files; `--digest PATH`
 /// additionally writes the digests alone, which are identical on every run.
-fn cmd_bench_mega(flags: &HashMap<String, String>) {
+fn cmd_bench_mega(flags: &Flags) -> CmdResult {
     let quick = flags.contains_key("quick");
-    let hosts: Option<u32> = flags
-        .contains_key("hosts")
-        .then(|| get(flags, "hosts", 0u32));
+    let hosts: Option<u32> = if flags.contains_key("hosts") {
+        Some(get(flags, "hosts", 0u32)?)
+    } else {
+        None
+    };
     let label = if quick { "quick" } else { "full" };
     eprintln!("bench-sim --mega: {label} sizing...");
-    let report = bench_mega(quick, hosts).unwrap_or_else(|e| {
-        eprintln!("bench-sim: {e}");
-        std::process::exit(1);
-    });
+    let report = bench_mega(quick, hosts).map_err(runtime)?;
     for p in &report.points {
         println!(
             "n={:>6} (k={} fat-tree, {} switches, tree k={}): setup {:.3} s{} | \
@@ -763,18 +740,11 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
             p.digest
         );
     }
-    let default_out = "BENCH_mega.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("bench-sim: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    let out_path = flags.get("out").map_or("BENCH_mega.json", String::as_str);
+    write_file(out_path, report.to_json().to_string_pretty())?;
     println!("report written to {out_path}");
     if let Some(digest_path) = flags.get("digest") {
-        if let Err(e) = std::fs::write(digest_path, report.digest_json().to_string_pretty()) {
-            eprintln!("bench-sim: cannot write {digest_path}: {e}");
-            std::process::exit(1);
-        }
+        write_file(digest_path, report.digest_json().to_string_pretty())?;
         println!("digest written to {digest_path}");
     }
     // The committed figure charts the full size axis; quick smoke runs and
@@ -782,21 +752,17 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
     if !quick && hosts.is_none() {
         let fig = report.figure();
         let fig_path = "results/fig_megascale.json";
-        if let Err(e) = std::fs::write(fig_path, fig.to_json().to_string_pretty()) {
-            eprintln!("bench-sim: cannot write {fig_path}: {e}");
-            std::process::exit(1);
-        }
+        write_file(fig_path, fig.to_json().to_string_pretty())?;
         println!("figure written to {fig_path}");
-        let plot_dir = flags.get("plots").map(String::as_str).unwrap_or("plots");
-        write_figure_plots("bench-sim", plot_dir, &fig);
+        write_plots(flags, &fig)?;
     }
     if !report.all_ok() {
-        eprintln!(
-            "bench-sim --mega: FAILED — setup memory over the {} MiB budget",
+        return Err(runtime(format!(
+            "--mega FAILED — setup memory over the {} MiB budget",
             report.budget_bytes / (1024 * 1024)
-        );
-        std::process::exit(1);
+        )));
     }
+    Ok(())
 }
 
 /// The `bench-compare` subcommand: replays a fresh `--quick` measurement
@@ -804,54 +770,38 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
 /// `--threshold` (default 0.30). Only sizing-insensitive rates are
 /// compared, so the quick fresh run is a fair check against committed
 /// full-sizing artifacts.
-fn cmd_bench_compare(flags: &HashMap<String, String>) {
-    let threshold: f64 = get(flags, "threshold", 0.30);
+fn cmd_bench_compare(flags: &Flags, _: &[String]) -> CmdResult {
+    let threshold: f64 = get(flags, "threshold", 0.30)?;
     if !(0.0..1.0).contains(&threshold) {
-        eprintln!("bench-compare: --threshold must be in [0, 1)");
-        std::process::exit(2);
+        return Err(usage("--threshold must be in [0, 1)"));
     }
-    let threads: usize = get(flags, "threads", 1);
-    let load = |path: &str| -> Json {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bench-compare: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bench-compare: {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        })
+    let threads: usize = get(flags, "threads", 1)?;
+    let load = |path: &str| -> Result<Json, CliError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| runtime(format!("cannot read {path}: {e}")))?;
+        Json::parse(&text).map_err(|e| runtime(format!("{path} is not valid JSON: {e}")))
     };
     let mut checks = Vec::new();
-    let mut compare = |label: &str, path: &str, committed: &Json, fresh: Json| {
+    let mut compare = |label: &str, path: &str, committed: &Json, fresh: Json| -> CmdResult {
         let found = bench_regressions(committed, &fresh);
         if found.is_empty() {
-            eprintln!("bench-compare: no comparable rates in {path}");
-            std::process::exit(1);
+            return Err(runtime(format!("no comparable rates in {path}")));
         }
         eprintln!("bench-compare: {label} ({path}): {} rate(s)", found.len());
         checks.extend(found);
+        Ok(())
     };
 
-    let sim_path = flags
-        .get("sim")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let committed_sim = load(&sim_path);
+    let sim_path = flags.get("sim").map_or("BENCH_sim.json", String::as_str);
+    let committed_sim = load(sim_path)?;
     eprintln!("bench-compare: fresh quick bench-sim...");
-    let fresh_sim = bench_sim(true).unwrap_or_else(|e| {
-        eprintln!("bench-compare: {e}");
-        std::process::exit(1);
-    });
-    compare("bench-sim", &sim_path, &committed_sim, fresh_sim.to_json());
+    let fresh_sim = bench_sim(true).map_err(runtime)?;
+    compare("bench-sim", sim_path, &committed_sim, fresh_sim.to_json())?;
 
     let sweep_path = flags
         .get("sweep")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let committed_sweep = load(&sweep_path);
+        .map_or("BENCH_sweep.json", String::as_str);
+    let committed_sweep = load(sweep_path)?;
     // The sweep's events/s amortizes per-cell setup over the sample count,
     // so it is only comparable at the committed artifact's own
     // (topologies × dest_sets) methodology — reconstruct it from the meta.
@@ -862,39 +812,33 @@ fn cmd_bench_compare(flags: &HashMap<String, String>) {
             .map(|v| v as u32)
             .unwrap_or(default)
     };
+    let topologies = meta_u32(&committed_sweep, "topologies", 2);
+    let dest_sets = meta_u32(&committed_sweep, "dest_sets", 3);
     let base = SweepBuilder::quick()
-        .topologies(meta_u32(&committed_sweep, "topologies", 2))
-        .dest_sets(meta_u32(&committed_sweep, "dest_sets", 3));
+        .topologies(topologies)
+        .dest_sets(dest_sets);
     eprintln!(
-        "bench-compare: fresh bench-sweep at the committed {}x{} methodology \
-         ({threads} worker(s))...",
-        meta_u32(&committed_sweep, "topologies", 2),
-        meta_u32(&committed_sweep, "dest_sets", 3)
+        "bench-compare: fresh bench-sweep at the committed {topologies}x{dest_sets} methodology \
+         ({threads} worker(s))..."
     );
-    let fresh_sweep = bench_sweep(&base, threads).unwrap_or_else(|e| {
-        eprintln!("bench-compare: {e}");
-        std::process::exit(1);
-    });
+    let fresh_sweep = bench_sweep(&base, threads).map_err(runtime)?;
     compare(
         "bench-sweep",
-        &sweep_path,
+        sweep_path,
         &committed_sweep,
         fresh_sweep.to_json(),
-    );
+    )?;
 
     if let Some(mega_path) = flags.get("mega") {
-        let committed_mega = load(mega_path);
+        let committed_mega = load(mega_path)?;
         eprintln!("bench-compare: fresh quick bench-sim --mega...");
-        let fresh_mega = bench_mega(true, None).unwrap_or_else(|e| {
-            eprintln!("bench-compare: {e}");
-            std::process::exit(1);
-        });
+        let fresh_mega = bench_mega(true, None).map_err(runtime)?;
         compare(
             "bench-mega",
             mega_path,
             &committed_mega,
             fresh_mega.to_json(),
-        );
+        )?;
     }
 
     let mut regressed = false;
@@ -911,81 +855,134 @@ fn cmd_bench_compare(flags: &HashMap<String, String>) {
         );
     }
     if regressed {
-        eprintln!(
-            "bench-compare: FAILED — at least one rate regressed more than {:.0}%",
+        return Err(runtime(format!(
+            "FAILED — at least one rate regressed more than {:.0}%",
             threshold * 100.0
-        );
-        std::process::exit(1);
+        )));
     }
     println!(
         "bench-compare: all {} rate(s) within {:.0}% of committed",
         checks.len(),
         threshold * 100.0
     );
+    Ok(())
+}
+
+/// The steps `chaos`, `chaos --arq`, `stream` and `jobs` share: the worker
+/// count (default: every core), the `--quick`/paper sizing, `--seed`,
+/// building the sweep, and the engine/report/plots epilogue. Their JSON
+/// reports record no thread count and are byte-identical for every
+/// `--threads` value — CI runs each twice and diffs.
+struct GridCmd<'a> {
+    flags: &'a Flags,
+    threads: usize,
+    quick: bool,
+    seed: u64,
+    /// The sampling methodology: 2×3 under `--quick`, else the paper's
+    /// 10×30.
+    base: SweepBuilder,
+}
+
+impl<'a> GridCmd<'a> {
+    fn new(flags: &'a Flags) -> Result<Self, CliError> {
+        let quick = flags.contains_key("quick");
+        Ok(GridCmd {
+            flags,
+            threads: get(flags, "threads", default_threads())?,
+            quick,
+            seed: get(flags, "seed", 1997)?,
+            base: if quick {
+                SweepBuilder::quick()
+            } else {
+                SweepBuilder::paper()
+            },
+        })
+    }
+
+    /// Builds the sweep on the requested workers and announces the run on
+    /// stderr.
+    fn sweep(&self, name: &str, builder: SweepBuilder, grid: &str) -> Result<Sweep, CliError> {
+        let sweep = builder.parallelism(self.threads).build().map_err(usage)?;
+        let cfg = sweep.config();
+        eprintln!(
+            "{name}: {}x{} methodology, {grid}, {} worker(s)...",
+            cfg.topologies(),
+            cfg.dest_sets(),
+            self.threads
+        );
+        Ok(sweep)
+    }
+
+    /// Prints the engine's effort, writes the report to `--out` (default
+    /// `default_out`), and the figure's plots unless `--quick`: the
+    /// committed plots chart the full grids, so smoke runs must not
+    /// overwrite them.
+    fn finish(
+        &self,
+        sweep: &Sweep,
+        report: Json,
+        default_out: &str,
+        figure: Option<Figure>,
+    ) -> CmdResult {
+        // Engine effort is stdout-only context: the JSON report stays
+        // byte-identical across hosts and thread counts.
+        let effort = sweep.sim_effort();
+        let cache = sweep.cache_stats();
+        println!(
+            "engine: {} events processed, peak queue {}, tree cache {}/{} hits, \
+             route cache {}/{} hits",
+            effort.events_processed,
+            effort.peak_queue_len,
+            cache.hits,
+            cache.hits + cache.misses,
+            cache.route_hits,
+            cache.route_hits + cache.route_misses
+        );
+        let out_path = self.flags.get("out").map_or(default_out, String::as_str);
+        write_file(out_path, report.to_string_pretty())?;
+        println!("report written to {out_path}");
+        match figure {
+            Some(fig) if !self.quick => write_plots(self.flags, &fig),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The `chaos` subcommand: the robustness grid (drop rate × crash count)
 /// over the paper's sampling methodology, reported as a table plus the
-/// unified figure JSON. The JSON records no thread count and is
-/// byte-identical for every `--threads` value — CI runs it twice and diffs.
-fn cmd_chaos(flags: &HashMap<String, String>) {
+/// unified figure JSON.
+fn cmd_chaos(flags: &Flags, _: &[String]) -> CmdResult {
     if flags.contains_key("arq") {
-        cmd_chaos_arq(flags);
-        return;
+        return cmd_chaos_arq(flags);
     }
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let quick = flags.contains_key("quick");
-    let seed: u64 = get(flags, "seed", 1997);
-    let dests: u32 = get(flags, "dests", 31);
-    let m: u32 = get(flags, "m", 4);
+    let run = GridCmd::new(flags)?;
+    let dests: u32 = get(flags, "dests", 31)?;
+    let m: u32 = get(flags, "m", 4)?;
     let live_repair = flags.contains_key("live-repair");
-    // With live repair the drawn hosts crash mid-run (default 5 µs: before
-    // the first send completes, so every crash exercises the repair path);
-    // without it they are repaired around before the run, at time zero.
-    let crash_at_us: f64 = get(flags, "crash-at", if live_repair { 5.0 } else { 0.0 });
     let spec = FaultPlanSpec {
-        seed,
+        seed: run.seed,
         live_repair,
-        crash_at_us,
+        // With live repair the drawn hosts crash mid-run (default 5 µs:
+        // before the first send completes, so every crash exercises the
+        // repair path); without it they are repaired around before the
+        // run, at time zero.
+        crash_at_us: get(flags, "crash-at", if live_repair { 5.0 } else { 0.0 })?,
         ..FaultPlanSpec::default()
     };
-    let (base, drops, crashes, label) = if quick {
-        (
-            SweepBuilder::quick(),
-            vec![0.0, 0.05, 0.1],
-            vec![0u32, 1, 2],
-            "quick (2x3)",
-        )
+    let (drops, crashes) = if run.quick {
+        (vec![0.0, 0.05, 0.1], vec![0u32, 1, 2])
     } else {
         (
-            SweepBuilder::paper(),
             vec![0.0, 0.01, 0.02, 0.05, 0.1, 0.2],
             vec![0u32, 1, 2, 4, 8],
-            "paper (10x30)",
         )
     };
-    eprintln!(
-        "chaos: {label} methodology, {}x{} grid, {threads} worker(s)...",
-        drops.len(),
-        crashes.len()
-    );
-    let sweep = base
-        .parallelism(threads)
-        .fault(spec)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        });
-    let report = sweep.chaos(&drops, &crashes, dests, m).unwrap_or_else(|e| {
-        eprintln!("chaos: {e}");
-        std::process::exit(1);
-    });
+    let grid = format!("{}x{} grid", drops.len(), crashes.len());
+    let sweep = run.sweep("chaos", run.base.fault(spec), &grid)?;
+    let report = sweep.chaos(&drops, &crashes, dests, m).map_err(runtime)?;
     println!(
-        "chaos grid: {dests} dests, {m} packets, fault seed {seed}, {} samples/cell{}",
+        "chaos grid: {dests} dests, {m} packets, fault seed {}, {} samples/cell{}",
+        run.seed,
         sweep.config().samples(),
         if live_repair { ", live repair on" } else { "" }
     );
@@ -1004,119 +1001,76 @@ fn cmd_chaos(flags: &HashMap<String, String>) {
         print!(" {:>7} {:>8} {:>11}", "repairs", "reissued", "written-off");
     }
     println!();
-    for d in 0..report.drop_rates.len() {
-        for c in 0..report.crash_counts.len() {
-            let cell = report.cell(d, c);
+    for cell in &report.cells {
+        print!(
+            "{:>6.2} {:>7} {:>9} {:>6} {:>9} {:>12.2} {:>11} {:>10}",
+            cell.drop_rate,
+            cell.crashes,
+            cell.delivered,
+            cell.failed,
+            cell.unreached,
+            cell.mean_latency_us,
+            cell.retransmits,
+            cell.reattached
+        );
+        if live_repair {
             print!(
-                "{:>6.2} {:>7} {:>9} {:>6} {:>9} {:>12.2} {:>11} {:>10}",
-                cell.drop_rate,
-                cell.crashes,
-                cell.delivered,
-                cell.failed,
-                cell.unreached,
-                cell.mean_latency_us,
-                cell.retransmits,
-                cell.reattached
+                " {:>7} {:>8} {:>11}",
+                cell.repairs, cell.reissued_packets, cell.unreachable_crashed
             );
-            if live_repair {
-                print!(
-                    " {:>7} {:>8} {:>11}",
-                    cell.repairs, cell.reissued_packets, cell.unreachable_crashed
-                );
-            }
-            println!();
         }
+        println!();
     }
-    if report.all_reached() {
+    print_verdict(report.cells.iter().map(|c| (c.failed, c.unreached)));
+    let default_out = if live_repair {
+        "results/chaos_repair.json"
+    } else {
+        "results/chaos.json"
+    };
+    run.finish(&sweep, report.to_json(), default_out, None)
+}
+
+/// Prints a fault grid's all-reached verdict from its cells' `(failed
+/// runs, unreached destinations)`.
+fn print_verdict(cells: impl Iterator<Item = (u32, u64)>) {
+    let (failed, unreached) = cells.fold((0, 0), |(f, u), (cf, cu)| (f + cf, u + cu));
+    if failed == 0 {
         println!("all-reached invariant holds: every run reached every surviving destination");
     } else {
-        let failed: u32 = report.cells.iter().map(|c| c.failed).sum();
-        let unreached: u64 = report.cells.iter().map(|c| c.unreached).sum();
         println!(
             "WARNING: {failed} run(s) exhausted the retransmission budget; \
              {unreached} surviving destination(s) unreached"
         );
     }
-    // Engine effort is stdout-only context: the JSON report stays
-    // byte-identical across hosts and thread counts.
-    let effort = sweep.sim_effort();
-    let cache = sweep.cache_stats();
-    println!(
-        "engine: {} events processed, peak queue {}, tree cache {}/{} hits, \
-         route cache {}/{} hits",
-        effort.events_processed,
-        effort.peak_queue_len,
-        cache.hits,
-        cache.hits + cache.misses,
-        cache.route_hits,
-        cache.route_hits + cache.route_misses
-    );
-    let default_out = if live_repair {
-        "results/chaos_repair.json".to_string()
-    } else {
-        "results/chaos.json".to_string()
-    };
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("chaos: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
 }
 
 /// The `chaos --arq` variant: the recovery-latency grid — stop-and-wait
 /// against windowed selective-repeat at every swept drop rate, charting
-/// each mode's added latency over its own lossless baseline. The JSON
-/// records no thread count and is byte-identical for every `--threads`
-/// value — CI runs it twice and diffs.
-fn cmd_chaos_arq(flags: &HashMap<String, String>) {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let quick = flags.contains_key("quick");
-    let seed: u64 = get(flags, "seed", 1997);
-    let dests: u32 = get(flags, "dests", 31);
-    let m: u32 = get(flags, "m", 4);
-    let window: u32 = get(flags, "window", 8);
-    let send_units: u32 = get(flags, "send-units", 2);
-    let (base, drops, label) = if quick {
-        (
-            SweepBuilder::quick(),
-            vec![0.0, 0.02, 0.05, 0.1],
-            "quick (2x3)",
-        )
+/// each mode's added latency over its own lossless baseline.
+fn cmd_chaos_arq(flags: &Flags) -> CmdResult {
+    let run = GridCmd::new(flags)?;
+    let dests: u32 = get(flags, "dests", 31)?;
+    let m: u32 = get(flags, "m", 4)?;
+    let window: u32 = get(flags, "window", 8)?;
+    let send_units: u32 = get(flags, "send-units", 2)?;
+    let drops = if run.quick {
+        vec![0.0, 0.02, 0.05, 0.1]
     } else {
-        (
-            SweepBuilder::paper(),
-            vec![0.0, 0.01, 0.02, 0.05, 0.1, 0.2],
-            "paper (10x30)",
-        )
+        vec![0.0, 0.01, 0.02, 0.05, 0.1, 0.2]
     };
-    eprintln!(
-        "chaos --arq: {label} methodology, {} drop rate(s) x 2 modes, {threads} worker(s)...",
-        drops.len()
-    );
-    let sweep = base
-        .parallelism(threads)
-        .fault(FaultPlanSpec {
-            seed,
-            ..FaultPlanSpec::default()
-        })
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        });
+    let fault = FaultPlanSpec {
+        seed: run.seed,
+        ..FaultPlanSpec::default()
+    };
+    let grid = format!("{} drop rate(s) x 2 modes", drops.len());
+    let sweep = run.sweep("chaos --arq", run.base.fault(fault), &grid)?;
     let report = sweep
         .chaos_arq(&drops, dests, m, window, send_units)
-        .unwrap_or_else(|e| {
-            eprintln!("chaos: {e}");
-            std::process::exit(1);
-        });
+        .map_err(runtime)?;
     println!(
-        "arq grid: {dests} dests, {m} packets, fault seed {seed}, window {window}, \
+        "arq grid: {dests} dests, {m} packets, fault seed {}, window {window}, \
          {send_units} send unit(s), {} samples/cell",
+        run.seed,
         sweep.config().samples()
     );
     println!(
@@ -1149,75 +1103,38 @@ fn cmd_chaos_arq(flags: &HashMap<String, String>) {
             cell.window_stalls_us
         );
     }
-    if report.all_reached() {
-        println!("all-reached invariant holds: every run recovered every destination");
-    } else {
-        let failed: u32 = report.cells.iter().map(|c| c.failed).sum();
-        let unreached: u64 = report.cells.iter().map(|c| c.unreached).sum();
-        println!(
-            "WARNING: {failed} run(s) exhausted the retransmission budget; \
-             {unreached} destination(s) unreached"
-        );
-    }
-    let effort = sweep.sim_effort();
-    println!(
-        "engine: {} events processed, peak queue {}",
-        effort.events_processed, effort.peak_queue_len
-    );
-    let default_out = "results/chaos_arq.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("chaos: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
-    // The committed plots chart the full paper grid; quick smoke runs
-    // (CI's determinism check) must not overwrite them.
-    if !quick {
-        let plot_dir = flags.get("plots").map(String::as_str).unwrap_or("plots");
-        write_figure_plots("chaos", plot_dir, &report.figure());
-    }
+    print_verdict(report.cells.iter().map(|c| (c.failed, c.unreached)));
+    run.finish(
+        &sweep,
+        report.to_json(),
+        "results/chaos_arq.json",
+        Some(report.figure()),
+    )
 }
 
 /// The `stream` subcommand: the streaming grid — churn rate × offered
 /// load × buffer depth, each cell streaming frames through bounded
 /// drop-oldest buffers to a churning group on the optimal k-binomial
-/// tree. The JSON records no thread count and is byte-identical for
-/// every `--threads` value — CI runs it twice and diffs.
-fn cmd_stream(flags: &HashMap<String, String>) {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let quick = flags.contains_key("quick");
-    let seed: u64 = get(flags, "seed", 1997);
-    let (base, mut grid, label) = if quick {
-        (SweepBuilder::quick(), StreamGrid::quick(), "quick (2x3)")
+/// tree.
+fn cmd_stream(flags: &Flags, _: &[String]) -> CmdResult {
+    let run = GridCmd::new(flags)?;
+    let mut grid = if run.quick {
+        StreamGrid::quick()
     } else {
-        (SweepBuilder::paper(), StreamGrid::paper(), "paper (10x30)")
+        StreamGrid::paper()
     };
-    grid.dests = get(flags, "dests", grid.dests);
-    grid.frame_bytes = get(flags, "frame-bytes", grid.frame_bytes);
-    grid.mtu_bytes = get(flags, "mtu", grid.mtu_bytes);
-    grid.frames = get(flags, "frames", grid.frames);
-    eprintln!(
-        "stream: {label} methodology, {} churn x {} load x {} buffer cell(s), {threads} worker(s)...",
+    grid.dests = get(flags, "dests", grid.dests)?;
+    grid.frame_bytes = get(flags, "frame-bytes", grid.frame_bytes)?;
+    grid.mtu_bytes = get(flags, "mtu", grid.mtu_bytes)?;
+    grid.frames = get(flags, "frames", grid.frames)?;
+    let cells = format!(
+        "{} churn x {} load x {} buffer cell(s)",
         grid.churn_levels.len(),
         grid.loads.len(),
         grid.buffer_depths.len()
     );
-    let sweep = base
-        .parallelism(threads)
-        .base_seed(seed)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("stream: {e}");
-            std::process::exit(2);
-        });
-    let report = sweep.streaming(&grid).unwrap_or_else(|e| {
-        eprintln!("stream: {e}");
-        std::process::exit(1);
-    });
+    let sweep = run.sweep("stream", run.base.base_seed(run.seed), &cells)?;
+    let report = sweep.streaming(&grid).map_err(runtime)?;
     println!(
         "stream grid: {} dests, {}-byte frames at {}-byte MTU ({} packets), {} frames/stream, \
          {} samples/cell",
@@ -1258,88 +1175,53 @@ fn cmd_stream(flags: &HashMap<String, String>) {
             cell.max_staleness_us
         );
     }
-    let effort = sweep.sim_effort();
-    println!(
-        "engine: {} events processed, peak queue {}",
-        effort.events_processed, effort.peak_queue_len
-    );
-    let default_out = "results/streaming.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("stream: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
-    // The committed plots chart the full paper grid; quick smoke runs
-    // (CI's determinism check) must not overwrite them.
-    if !quick {
-        let plot_dir = flags.get("plots").map(String::as_str).unwrap_or("plots");
-        write_figure_plots("stream", plot_dir, &report.figure());
-    }
+    run.finish(
+        &sweep,
+        report.to_json(),
+        "results/streaming.json",
+        Some(report.figure()),
+    )
 }
 
 /// The `jobs` subcommand: the multi-tenant admission grid (concurrent job
 /// count × mean inter-arrival × group size), every cell scheduled under
 /// both FIFO and contention-aware admission on identical sampled job sets.
-/// The JSON records no thread count and is byte-identical for every
-/// `--threads` value — CI runs it twice and diffs.
-fn cmd_jobs(flags: &HashMap<String, String>) {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let quick = flags.contains_key("quick");
-    let seed: u64 = get(flags, "seed", 1997);
-    let (base, job_counts, interarrivals, groups, m, label) = if quick {
-        (
-            SweepBuilder::quick(),
-            vec![1u32, 2, 4],
-            vec![25.0],
-            vec![8u32],
-            get(flags, "m", 2),
-            "quick (2x3)",
-        )
+fn cmd_jobs(flags: &Flags, _: &[String]) -> CmdResult {
+    let run = GridCmd::new(flags)?;
+    let (base, job_counts, interarrivals, groups, m) = if run.quick {
+        (run.base, vec![1u32, 2, 4], vec![25.0], vec![8u32], 2)
     } else {
         // Multi-tenant cells pool `samples × jobs` completions each, so a
         // 3×5 methodology already gives the percentiles hundreds of
         // observations at the larger job counts — the full 10×30 sampling
         // would add minutes for no visible change in the figure.
         (
-            SweepBuilder::paper().topologies(3).dest_sets(5),
+            run.base.topologies(3).dest_sets(5),
             vec![1u32, 2, 4, 8, 16],
             vec![25.0, 100.0],
             vec![8u32, 16],
-            get(flags, "m", 4),
-            "tenant (3x5)",
+            4,
         )
     };
-    eprintln!(
-        "jobs: {label} methodology, {}x{}x{} grid, {threads} worker(s)...",
+    let m: u32 = get(flags, "m", m)?;
+    let grid = format!(
+        "{}x{}x{} grid",
         job_counts.len(),
         interarrivals.len(),
         groups.len()
     );
-    let sweep = base
-        .base_seed(seed)
-        .parallelism(threads)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("jobs: {e}");
-            std::process::exit(2);
-        });
+    let sweep = run.sweep("jobs", base.base_seed(run.seed), &grid)?;
     let report = sweep
         .multi_tenant(&job_counts, &interarrivals, &groups, m)
-        .unwrap_or_else(|e| {
-            eprintln!("jobs: {e}");
-            std::process::exit(1);
-        });
+        .map_err(runtime)?;
     if flags.contains_key("json") {
         print!("{}", report.to_json().to_string_pretty());
-        return;
+        return Ok(());
     }
     println!(
-        "multi-tenant grid: {m} packets/job, base seed {seed}, {} samples/cell, \
+        "multi-tenant grid: {m} packets/job, base seed {}, {} samples/cell, \
          channel load bound {}",
+        run.seed,
         sweep.config().samples(),
         report.max_channel_load
     );
@@ -1371,100 +1253,12 @@ fn cmd_jobs(flags: &HashMap<String, String>) {
             cell.shaped.mean_queue_us
         );
     }
-    let effort = sweep.sim_effort();
-    println!(
-        "engine: {} events processed, peak queue {}, {} cells x {} samples x 2 policies",
-        effort.events_processed,
-        effort.peak_queue_len,
-        report.cells.len(),
-        sweep.config().samples()
-    );
-    let default_out = "results/multi_tenant.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("jobs: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
-    // The committed plots chart the full tenant grid; quick smoke runs
-    // (CI's determinism check) must not overwrite them with the 3-cell
-    // quick figure.
-    if !quick {
-        let plot_dir = flags.get("plots").map(String::as_str).unwrap_or("plots");
-        write_figure_plots("jobs", plot_dir, &report.figure());
-    }
-}
-
-/// Writes `<dir>/<figure id>.dat` + `.gp` in the same gnuplot format the
-/// `figures` binary uses for every other committed plot: a `# x "label"…`
-/// header, one column per series with `?` for missing points, and a
-/// pngcairo script. `cmd` labels error messages with the calling
-/// subcommand.
-fn write_figure_plots(cmd: &str, dir: &str, fig: &optimcast::sweep::Figure) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("{cmd}: cannot create {dir}: {e}");
-        return;
-    }
-    let mut xs: Vec<f64> = Vec::new();
-    for s in &fig.series {
-        for &(x, _) in &s.points {
-            if !xs.contains(&x) {
-                xs.push(x);
-            }
-        }
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let dat_path = format!("{dir}/{}.dat", fig.id);
-    let mut dat = String::new();
-    dat.push_str("# x");
-    for s in &fig.series {
-        dat.push_str(&format!("  \"{}\"", s.label));
-    }
-    dat.push('\n');
-    for &x in &xs {
-        dat.push_str(&format!("{x}"));
-        for s in &fig.series {
-            match s.points.iter().find(|&&(px, _)| px == x) {
-                Some(&(_, y)) => dat.push_str(&format!(" {y}")),
-                None => dat.push_str(" ?"),
-            }
-        }
-        dat.push('\n');
-    }
-    if let Err(e) = std::fs::write(&dat_path, dat) {
-        eprintln!("{cmd}: cannot write {dat_path}: {e}");
-        return;
-    }
-    let gp_path = format!("{dir}/{}.gp", fig.id);
-    let mut gp = String::new();
-    gp.push_str(&format!(
-        "set title \"{}\"\nset xlabel \"{}\"\nset ylabel \"{}\"\nset key left top\nset grid\n",
-        fig.title, fig.x_label, fig.y_label
-    ));
-    gp.push_str(&format!(
-        "set terminal pngcairo size 800,600\nset output \"{}.png\"\nset datafile missing \"?\"\nplot ",
-        fig.id
-    ));
-    let plots: Vec<String> = fig
-        .series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            format!(
-                "\"{}.dat\" using 1:{} with linespoints title \"{}\"",
-                fig.id,
-                i + 2,
-                s.label
-            )
-        })
-        .collect();
-    gp.push_str(&plots.join(", \\\n     "));
-    gp.push('\n');
-    if let Err(e) = std::fs::write(&gp_path, gp) {
-        eprintln!("{cmd}: cannot write {gp_path}: {e}");
-        return;
-    }
-    println!("plots written to {dat_path} and {gp_path}");
+    run.finish(
+        &sweep,
+        report.to_json(),
+        "results/multi_tenant.json",
+        Some(report.figure()),
+    )
 }
 
 /// The `wire` subcommand: the same k-binomial tree and FPFS schedule the
@@ -1478,76 +1272,60 @@ fn write_figure_plots(cmd: &str, dir: &str, fig: &optimcast::sweep::Figure) {
 ///   process binds `127.0.0.1:(port-base + rank)` and reconstructs the same
 ///   deterministic plan from `(n, k, m)`, so no coordination channel is
 ///   needed; start the sinks first, then the source.
-fn cmd_wire(flags: &HashMap<String, String>) {
-    let n: u32 = get(flags, "n", 8);
-    let m: u32 = get(flags, "m", 4);
-    if n < 2 {
-        eprintln!("wire: --n must be at least 2 (source plus one destination)");
-        std::process::exit(2);
-    }
-    if m == 0 {
-        eprintln!("wire: --m must be at least 1 packet");
-        std::process::exit(2);
-    }
-    let k: u32 = match flags.get("k") {
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("--k: {e}");
-            std::process::exit(2);
-        }),
-        None => optimal_k(u64::from(n), m).k,
+fn cmd_wire(flags: &Flags, _: &[String]) -> CmdResult {
+    let n: u32 = get_at_least(flags, "n", 8, 2)?;
+    let m: u32 = get_at_least(flags, "m", 4, 1)?;
+    let k: u32 = if flags.contains_key("k") {
+        get_at_least(flags, "k", 1, 1)?
+    } else {
+        optimal_k(u64::from(n), m).k
     };
-    let payload: usize = get(flags, "payload", 4096);
-    let mtu: usize = get(flags, "mtu", DEFAULT_MTU);
+    let payload: usize = get(flags, "payload", 4096)?;
+    let mtu: usize = get(flags, "mtu", DEFAULT_MTU)?;
     if mtu <= HEADER_LEN {
-        eprintln!("wire: --mtu must exceed the {HEADER_LEN}-byte frame header");
-        std::process::exit(2);
+        return Err(usage(format!(
+            "--mtu must exceed the {HEADER_LEN}-byte frame header"
+        )));
     }
-    let timeout = std::time::Duration::from_millis(get(flags, "timeout-ms", 10_000u64));
-    let role = flags.get("role").map(String::as_str).unwrap_or("demo");
+    let timeout = std::time::Duration::from_millis(get(flags, "timeout-ms", 10_000u64)?);
+    let role = flags.get("role").map_or("demo", String::as_str);
     match role {
         "demo" => {
-            let reports = loopback_demo(n, k, m, payload, mtu, timeout).unwrap_or_else(|e| {
-                eprintln!("wire: {e}");
-                std::process::exit(1);
-            });
+            let reports = loopback_demo(n, k, m, payload, mtu, timeout).map_err(runtime)?;
             let mut ok = true;
             for r in &reports {
                 println!("{}", r.to_json_line());
                 ok &= r.parity();
             }
-            if ok {
-                eprintln!(
-                    "wire demo: {} sink(s) all at parity with the predicted delivery order \
-                     (n={n}, k={k}, m={m})",
-                    reports.len()
-                );
-            } else {
-                eprintln!("wire demo: PARITY VIOLATION — wire order diverged from the schedule");
-                std::process::exit(1);
+            if !ok {
+                return Err(runtime(
+                    "demo PARITY VIOLATION — wire order diverged from the schedule",
+                ));
             }
+            eprintln!(
+                "wire demo: {} sink(s) all at parity with the predicted delivery order \
+                 (n={n}, k={k}, m={m})",
+                reports.len()
+            );
         }
         "source" | "sink" => {
-            let port_base: u32 = get(flags, "port-base", 47_000u32);
+            let port_base: u32 = get(flags, "port-base", 47_000u32)?;
             let rank: u32 = if role == "source" {
                 0
             } else {
-                get(flags, "rank", 0)
+                get(flags, "rank", 0)?
             };
             if role == "sink" && (rank == 0 || rank >= n) {
-                eprintln!("wire: --role sink needs --rank R with 1 <= R < n");
-                std::process::exit(2);
+                return Err(usage("--role sink needs --rank R with 1 <= R < n"));
             }
-            if port_base + n > u32::from(u16::MAX) {
-                eprintln!("wire: --port-base {port_base} leaves no room for {n} ranks");
-                std::process::exit(2);
+            if port_base.saturating_add(n) > u32::from(u16::MAX) {
+                return Err(usage(format!(
+                    "--port-base {port_base} leaves no room for {n} ranks"
+                )));
             }
             let plan = WirePlan::new(n, k, m, payload, mtu);
-            let fail = |e: optimcast::netsim::TransportError| -> ! {
-                eprintln!("wire: {e}");
-                std::process::exit(1);
-            };
-            let mut t = UdpTransport::bind(("127.0.0.1", (port_base + rank) as u16))
-                .unwrap_or_else(|e| fail(e));
+            let mut t =
+                UdpTransport::bind(("127.0.0.1", (port_base + rank) as u16)).map_err(runtime)?;
             t.set_peers(
                 (0..n)
                     .map(|r| std::net::SocketAddr::from(([127, 0, 0, 1], (port_base + r) as u16)))
@@ -1555,26 +1333,29 @@ fn cmd_wire(flags: &HashMap<String, String>) {
             );
             t.set_mtu(mtu);
             if role == "source" {
-                let sent = run_source(&plan, &mut t).unwrap_or_else(|e| fail(e));
-                t.close().unwrap_or_else(|e| fail(e));
+                let sent = run_source(&plan, &mut t).map_err(runtime)?;
+                t.close().map_err(runtime)?;
                 println!(
                     "wire source: {sent} send(s) across {} schedule steps (n={n}, k={k}, m={m})",
                     plan.schedule.total_steps()
                 );
             } else {
-                let report =
-                    run_sink(&plan, Rank(rank), &mut t, timeout).unwrap_or_else(|e| fail(e));
+                let report = run_sink(&plan, Rank(rank), &mut t, timeout).map_err(runtime)?;
                 println!("{}", report.to_json_line());
                 if !report.parity() {
-                    std::process::exit(1);
+                    return Err(runtime(format!(
+                        "sink {rank} PARITY VIOLATION — wire order diverged from the schedule"
+                    )));
                 }
             }
         }
         other => {
-            eprintln!("wire: unknown role '{other}' (demo, source, or sink)");
-            std::process::exit(2);
+            return Err(usage(format!(
+                "unknown role '{other}' (demo, source, or sink)"
+            )))
         }
     }
+    Ok(())
 }
 
 /// The `simulate --json` document: headline metrics plus the structured
@@ -1599,7 +1380,7 @@ fn simulate_json(wl: &WorkloadOutcome, k: u32, steps: u64) -> Json {
                 ("max_send_queue", Json::from(c.max_send_queue as u64)),
                 (
                     "buffer_occupancy",
-                    Json::Arr(c.buffer_occupancy.iter().map(|&n| Json::from(n)).collect()),
+                    Json::from(c.buffer_occupancy.as_slice()),
                 ),
                 ("events", Json::from(c.events)),
                 ("packets_dropped", Json::from(c.packets_dropped)),

@@ -15,16 +15,15 @@
 //! | free-form config + field edits      | [`SweepBuilder::paper()`] + validated setters |
 //! | `fig13a(&cfg)` … `fig14b(&cfg)`     | [`Sweep::figure`] with a [`FigureId`]         |
 //! | `avg_latency(&cfg, …)`              | [`Sweep::avg_latency`]                        |
-//! | `latency_stats(&cfg, …)`            | [`Sweep::latency_stats`]                      |
 //! | `improvement_factor(&cfg, …)`       | [`Sweep::improvement_factor`]                 |
 //! | `sample_instance(&cfg, …)`          | [`sample_instance`] with a [`SweepConfig`]    |
 
 pub use optimcast_sweep::{
     bench_sweep, buffer_figure, fig12a, fig12b, fig4, fig5, fig8, fig_disciplines,
     k_search_interval, m_axis, sample_chain, sample_instance, BenchReport, CacheStats, Figure,
-    FigureId, Instance, LatencyStats, PointSpec, Series, Sweep, SweepBuilder, SweepConfig,
-    SweepError, TenantCell, TenantPolicyStats, TenantReport, TopologyEntry, TreePolicy,
-    DEST_COUNTS, M_SWEEP, N_SWEEP, PACKET_COUNTS,
+    FigureId, Instance, PointSpec, Series, Sweep, SweepBuilder, SweepConfig, SweepError,
+    TenantCell, TenantPolicyStats, TenantReport, TopologyEntry, TreePolicy, DEST_COUNTS, M_SWEEP,
+    N_SWEEP, PACKET_COUNTS,
 };
 
 #[cfg(test)]

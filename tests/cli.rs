@@ -556,3 +556,36 @@ fn stream_threads_flag_is_output_invariant() {
     assert!(serial.contains("\"id\": \"streaming\""), "{serial}");
     assert!(serial.contains("\"mean_staleness_us\""), "{serial}");
 }
+
+/// Bad input is a usage error (exit 2, a message naming the offending flag
+/// or argument), never a panic (exit 101).
+#[test]
+fn bad_input_is_a_usage_error_not_a_panic() {
+    for args in [
+        &["route", "1000", "2000"][..],
+        &["route", "x", "1"][..],
+        &["tree", "--n", "16", "--k", "x"][..],
+        &["tree", "--n", "0"][..],
+        &["tree", "--n", "16", "--k", "0"][..],
+        &["table", "--max-n", "1"][..],
+        &["table", "--max-m", "0"][..],
+        &["optimal", "--n", "0", "--m", "1"][..],
+        &["optimal", "--n", "16", "--m", "0"][..],
+        &["wire", "--n", "2", "--k", "0"][..],
+        &["topo", "--switches", "0"][..],
+        &["topo", "--ports", "1"][..],
+        &["simulate", "--hosts", "200", "--dests", "150"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.starts_with(&format!("{}: ", args[0])),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
